@@ -19,10 +19,11 @@ from .encoding import (
     wedge,
 )
 from .harness import run_no_experiment, run_yes_experiment
-from .hereditary import INDETERMINATE, PASS
+from .hereditary import INDETERMINATE, PASS, MembershipError
 from .jhp import augment, compile_jhp_class
 from .matching import BudgetExceededError, SearchBudget
 from .textio import (
+    FormatError,
     atomic_write,
     map_to_text,
     read_graph,
@@ -59,6 +60,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _read_spec(path):
+    """The tiling spec at path; a malformed spec is a usage error."""
+    try:
+        return read_tiling(path)
+    except (ValueError, IndexError) as exc:
+        raise UsageError(f"bad tiling spec {path}: {exc}") from exc
+
+
 def _compile(stage, problem):
     if stage == "unary":
         return compile_unary_class(problem)
@@ -80,7 +89,7 @@ def _canonical(problem, model, depth, stage):
 
 
 def cmd_compile(args) -> int:
-    problem = read_tiling(args.spec)
+    problem = _read_spec(args.spec)
     cls = _compile(args.stage, problem)
     write_bundle(args.output, cls)
     if args.stage in ("pure", "jhp"):
@@ -91,7 +100,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_canon(args) -> int:
-    problem = read_tiling(args.spec)
+    problem = _read_spec(args.spec)
     g = _canonical(problem, args.model, args.depth, args.stage)
     k = len(stage_palette(args.stage)) if args.stage == "unary" else 0
     write_graph(args.output, g, palette_size=k)
@@ -100,7 +109,7 @@ def cmd_canon(args) -> int:
 
 
 def cmd_jointembed(args) -> int:
-    problem = read_tiling(args.spec)
+    problem = _read_spec(args.spec)
     theta = read_map(args.theta)
     a = read_graph(args.factor_a)
     b = read_graph(args.factor_b)
@@ -128,7 +137,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_tiling(args) -> int:
-    problem = read_tiling(args.spec)
+    problem = _read_spec(args.spec)
     try:
         if args.mode == "solve":
             result = solve_bounded(problem, args.n, SearchBudget(args.budget))
@@ -147,10 +156,12 @@ def cmd_tiling(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    problem = read_tiling(args.spec)
+    problem = _read_spec(args.spec)
     theta = read_map(args.theta) if args.theta else None
     if args.kind == "yes":
         rep = run_yes_experiment(problem, args.depth, args.stage, theta=theta)
+    elif args.stage != "unary":
+        raise UsageError(f"experiment no supports only --stage unary, not {args.stage!r}")
     else:
         rep = run_no_experiment(problem, args.depth)
     print(rep.to_text(), end="")
@@ -165,7 +176,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    problem = read_tiling(args.spec)
+    problem = _read_spec(args.spec)
     g = read_graph(args.graph)
     if args.stage != "unary":
         scheme = EncodingScheme(stage_palette(args.stage))
@@ -248,10 +259,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError, FormatError, MembershipError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

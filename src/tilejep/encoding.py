@@ -16,7 +16,7 @@ other constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional
 
 from .core import ColoredGraph, blocks
@@ -102,10 +102,6 @@ class EncodingScheme:
             return None
         j = (n - 7) // 2
         return self.palette[j] if j < len(self.palette) else None
-
-
-def scheme_for(stage: str) -> EncodingScheme:
-    return EncodingScheme(stage_palette(stage))
 
 
 # --------------------------------------------------------------------------
@@ -266,7 +262,7 @@ def guard_constraints(scheme: EncodingScheme) -> list:
             if not w.has_edge(u, v)
         ]
         pats.append(ConstraintPattern(graph, forb, name=f"H1:W{m}", constraint="H1"))
-    for c1, c2 in combinations_with_replacement_sorted(scheme.palette):
+    for c1, c2 in combinations_with_replacement(scheme.palette, 2):
         m1, m2 = scheme.wheel_size(c1), scheme.wheel_size(c2)
         verts = ["h"] + [f"a{i}" for i in range(1, m1 + 1)] + [f"b{i}" for i in range(1, m2 + 1)]
         edges = []
@@ -281,12 +277,6 @@ def guard_constraints(scheme: EncodingScheme) -> list:
         ]
         pats.append(ConstraintPattern(graph, forb, name=f"H2:W{m1}+W{m2}", constraint="H2"))
     return pats
-
-
-def combinations_with_replacement_sorted(palette: tuple):
-    from itertools import combinations_with_replacement
-
-    return combinations_with_replacement(palette, 2)
 
 
 # --------------------------------------------------------------------------
@@ -396,8 +386,9 @@ def _rule_guards(scheme: EncodingScheme) -> SemanticRule:
     the shortest odd cycle settles most components, and the remaining
     suspects get an explicit bounded induced-cycle search.  H2 fires when
     one hub carries two scheme-size copies.  Class verdicts agree with the
-    guard patterns on every host; the correspondence is cross-checked
-    against direct matching on small hosts in the test suite.
+    guard patterns on every host, so this rule decides H1 and H2; the
+    correspondence is cross-checked against direct matching on small hosts
+    in the test suite.
     """
     sizes = set(scheme.sizes())
 
@@ -434,11 +425,11 @@ def _rule_guards(scheme: EncodingScheme) -> SemanticRule:
                         break
         return out
 
-    return SemanticRule("sem:guards", "guards", {"kind": "structural-guards"}, fn)
+    return SemanticRule("sem:guards", "guards", {"kind": "structural-guards"}, fn, decides=("H1", "H2"))
 
 def _grid_edge_patterns() -> list:
     pats = []
-    for c1, c2 in combinations_with_replacement_sorted((GRID[0], GRID[1])):
+    for c1, c2 in combinations_with_replacement((GRID[0], GRID[1]), 2):
         g = ColoredGraph(["g", "g'"], [("g", "g'")], {"g": {c1}, "g'": {c2}}, name=f"gridedge:{c1}+{c2}")
         pats.append(ConstraintPattern(g, name=f"gridedge:{c1}+{c2}", constraint="grid-edge"))
     return pats
@@ -454,7 +445,8 @@ def _rule_grid_edge() -> SemanticRule:
                 out.append(Violation("grid-edge", "sem:grid-edge", tuple(g.sorted_vertices((u, v)))))
         return out
 
-    return SemanticRule("sem:grid-edge", "grid-edge", {"kind": "no-grid-grid-edge"}, fn)
+    return SemanticRule("sem:grid-edge", "grid-edge", {"kind": "no-grid-grid-edge"}, fn,
+                        decides=("grid-edge",))
 
 
 def _wheel_shape_patterns(scheme: EncodingScheme) -> list:
@@ -473,7 +465,9 @@ def _wheel_shape_patterns(scheme: EncodingScheme) -> list:
 def compile_colored_class(problem: TilingProblem, stage: str = "pure") -> HereditaryClass:
     """The colored-language class used as the source of the pure encoding:
     stage-1 constraints over the extended palette, plus the grid-grid edge
-    prohibition and the colored wheel-shape prohibitions."""
+    prohibition and the colored wheel-shape prohibitions.  Rules decide
+    c1..c9 and grid-edge; ``wheel-shape`` has no rule and is decided by its
+    patterns."""
     palette = stage_palette(stage)
     scheme = EncodingScheme(palette)
     base = compile_unary_class(problem, palette)
@@ -540,7 +534,8 @@ def _rule_pure_membership(problem: TilingProblem, scheme: EncodingScheme, colore
     On hosts whose wheel copies are clean (the guard patterns pass), a
     wedged pattern matches iff the original colored pattern matches the
     decoded vee image; so decoding and checking the colored class gives an
-    independent, and much cheaper, verdict for the wedged prohibitions.
+    independent, and much cheaper, verdict for the wedged prohibitions, and
+    this rule decides every ``w:*`` tag.
     """
 
     def fn(g: ColoredGraph, budget: SearchBudget) -> list:
@@ -557,6 +552,7 @@ def _rule_pure_membership(problem: TilingProblem, scheme: EncodingScheme, colore
         {"kind": "vee-colored-membership", "stage": "pure", "tiles": problem.tiles,
          "h": sorted(problem.h_forbidden), "v": sorted(problem.v_forbidden)},
         fn,
+        decides=("w:*",),
     )
 
 
@@ -579,13 +575,15 @@ def compile_pure_class(
     """Compile the pure-graph-language class for a tiling problem.
 
     Patterns: the wedge images of the single-colored constraint patterns of
-    the colored class, plus the H1/H2 guards.  The decoding rule recomputes
-    every wedged prohibition through vee; wedge images above ``wedge_cap``
-    vertices (the successor-configuration constraints, 300+ vertices once
-    encoded) are not materialized, and hosts larger than
-    ``meta['pattern_host_cap']`` rely on the decoding rule instead of
-    direct matching.  The two routes agree on guard-clean hosts and are
-    cross-checked in the test suite.
+    the colored class, plus the H1/H2 guards.  Rules decide every tag:
+    the decoding rule recomputes every wedged (``w:*``) prohibition through
+    vee, and the structural guard rule decides H1 and H2, so ``check`` runs
+    no pattern.  The patterns are the tier-1 cross-check
+    (``check(use_rules=False)``).  Wedge images above ``wedge_cap`` vertices
+    (the successor-configuration constraints, 300+ vertices once encoded)
+    are not materialized, and the pattern route skips the wedged and guard
+    patterns on hosts larger than ``meta['pattern_host_cap']``.  The two
+    routes agree on guard-clean hosts.
     """
     scheme = EncodingScheme(stage_palette(stage))
     colored = compile_colored_class(problem, stage)

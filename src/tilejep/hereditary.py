@@ -1,15 +1,21 @@
-"""Hereditary classes: forbidden-pattern lists plus semantic cross-check rules.
+"""Hereditary classes: forbidden-pattern lists plus semantic rules.
 
 A compiled class carries two views of the same prohibition set: explicit
 ``ConstraintPattern`` objects, matched by the search engine, and semantic
-rules that recompute the violation predicate from derived relations.  Both
-views are run by ``check``; they are implemented independently so each acts
-as an oracle for the other.
+rules that recompute the violation predicate from derived relations.  Each
+rule declares the pattern tags it decides (``SemanticRule.decides``).  That
+declaration is the class's route table: a tag some rule of the class decides
+is decided by the rule route alone, and every other tag by its patterns.
+``check`` runs only this authoritative route per tag.  The two views are
+implemented independently; ``check(use_rules=False)`` (the whole pattern
+route) and ``check(use_patterns=False)`` (the whole rule route) are the
+cross-check the test suite runs against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .core import ColoredGraph
@@ -66,16 +72,23 @@ class SemanticRule:
 
     ``descriptor`` is a flat, serializable record sufficient to rebuild the
     rule (used by the bundle format); ``fn`` maps a graph and a budget to a
-    list of Violations.
+    list of Violations.  ``decides`` lists the pattern tags whose verdict
+    this rule is authoritative for; an entry ending in ``*`` covers every
+    tag with that prefix.  A rule that decides no tag only adds its own
+    violations.
     """
 
     name: str
     constraint: str
     descriptor: dict
     fn: Callable[[ColoredGraph, SearchBudget], list]
+    decides: tuple = ()
 
     def check(self, g: ColoredGraph, budget: SearchBudget) -> list:
         return self.fn(g, budget)
+
+    def decides_tag(self, tag: str) -> bool:
+        return any(tag == d or (d.endswith("*") and tag.startswith(d[:-1])) for d in self.decides)
 
 
 @dataclass(frozen=True)
@@ -87,6 +100,18 @@ class HereditaryClass:
     patterns: tuple = ()
     rules: tuple = ()
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def _pattern_routed(self) -> tuple:
+        """The patterns whose tag no rule of this class decides."""
+        return tuple(
+            p for p in self.patterns
+            if not any(r.decides_tag(p.constraint or p.name) for r in self.rules)
+        )
+
+    def pattern_routed_tags(self) -> set:
+        """Tags decided by their patterns in the default ``check``."""
+        return {p.constraint or p.name for p in self._pattern_routed}
 
     def constraint_groups(self) -> dict:
         groups: dict = {}
@@ -113,44 +138,52 @@ class HereditaryClass:
         use_rules: bool = True,
         max_witnesses_per_pattern: int = 4,
     ) -> CheckReport:
-        """Run every pattern and every semantic rule; pass iff no violation.
+        """Membership verdict; pass iff no violation.
+
+        By default each tag is decided by its authoritative route only:
+        every rule runs, and patterns run only for the tags no rule of this
+        class decides.  ``use_rules=False`` runs every pattern and no rule
+        (the pattern route); ``use_patterns=False`` runs every rule and no
+        pattern (the rule route).  The two are the cross-check.
 
         Budget exhaustion yields an indeterminate verdict, never a pass.
         Violations are merged in deterministic (constraint, source, witness)
         order.  Hosts with no multicolored vertex skip patterns that require
-        one, since those cannot match.  Definite verdicts are cached on the
-        (immutable) graph per class.
+        one, since those cannot match; hosts above ``meta['pattern_host_cap']``
+        skip the wedged and guard patterns, which the pure stage's rules
+        decide.  Definite default-route verdicts without an explicit budget
+        are cached on the (immutable) graph per class object and witness cap.
         """
         cache_ok = budget is None and use_patterns and use_rules
         memo = g.__dict__.setdefault("_membership_memo", {})
-        if cache_ok and self.name in memo:
-            return memo[self.name]
+        # the entry holds the class itself, so its id cannot be reused
+        key = (id(self), max_witnesses_per_pattern)
+        if cache_ok and key in memo:
+            return memo[key][1]
         budget = budget or SearchBudget(80_000_000)
         violations: list = []
         notes: list = []
         host_multicolor = bool(g.multicolored_vertices())
         host_cap = self.meta.get("pattern_host_cap")
+        patterns = (self._pattern_routed if use_rules else self.patterns) if use_patterns else ()
         try:
-            if use_patterns:
-                for p in self.patterns:
-                    if p.multicolored and not host_multicolor:
-                        continue
-                    if len(p) > len(g):
-                        continue
-                    if (
-                        host_cap is not None
-                        and len(g) > host_cap
-                        and (p.constraint.startswith("w:") or p.constraint in ("H1", "H2"))
-                    ):
-                        # large hosts: the decoding rule recomputes the wedged
-                        # verdicts and the structural rule the guard verdicts;
-                        # direct matching is reserved for hosts small enough
-                        # to afford it (the routes are cross-checked in tests)
-                        continue
-                    found = match_pattern(p, g, budget=budget, limit=max_witnesses_per_pattern)
-                    for m in found:
-                        wit = tuple(g.sorted_vertices(m.map.values()))
-                        violations.append(Violation(p.constraint or p.name, p.name, wit))
+            for p in patterns:
+                if p.multicolored and not host_multicolor:
+                    continue
+                if len(p) > len(g):
+                    continue
+                if (
+                    host_cap is not None
+                    and len(g) > host_cap
+                    and (p.constraint.startswith("w:") or p.constraint in ("H1", "H2"))
+                ):
+                    # direct matching of the wedged and guard patterns is
+                    # reserved for hosts small enough to afford it
+                    continue
+                found = match_pattern(p, g, budget=budget, limit=max_witnesses_per_pattern)
+                for m in found:
+                    wit = tuple(g.sorted_vertices(m.map.values()))
+                    violations.append(Violation(p.constraint or p.name, p.name, wit))
             if use_rules:
                 for r in self.rules:
                     violations.extend(r.check(g, budget))
@@ -163,7 +196,7 @@ class HereditaryClass:
         status = PASS if not violations else FAIL
         report = CheckReport(status, tuple(violations), tuple(notes))
         if cache_ok:
-            memo[self.name] = report
+            memo[key] = (self, report)
         return report
 
     def member(self, g: ColoredGraph, budget: SearchBudget | None = None) -> bool:

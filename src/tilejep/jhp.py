@@ -241,13 +241,17 @@ def no_proper_image_check(
 
 
 def _rule_no_proper_images(scheme: EncodingScheme) -> tuple:
+    """One deformed-image rule per scheme wheel.  Each also decides K4 from
+    the memoised scan, since the image test presumes a K4-free host; the
+    K4 pattern is the cross-check."""
     rules = []
     for color in scheme.palette:
         m = scheme.wheel_size(color)
 
         def fn(g: ColoredGraph, budget: SearchBudget, m=m) -> list:
-            if contains_k4(g, budget) is not None:
-                return []  # the K4 pattern reports this; images need K4-freeness
+            k4 = contains_k4(g, budget)
+            if k4 is not None:
+                return [Violation("K4", "k4-scan", k4)]
             wit = deformed_image_witness(g, m, budget)
             if wit is None:
                 return []
@@ -260,6 +264,7 @@ def _rule_no_proper_images(scheme: EncodingScheme) -> tuple:
                 "wheel-image",
                 {"kind": "no-proper-image", "wheel": m},
                 fn,
+                decides=("K4",),
             )
         )
     return tuple(rules)
@@ -268,7 +273,8 @@ def _rule_no_proper_images(scheme: EncodingScheme) -> tuple:
 def compile_jhp_class(problem: TilingProblem) -> HereditaryClass:
     """The stage-3 pure-graph class: the stage-2 compilation over the palette
     extended with the guard color, united with the K4 prohibition and the
-    deformed-wheel-image rules."""
+    deformed-wheel-image rules.  Rules decide every tag (K4 by the
+    deformed-image rules' scan), so ``check`` runs no pattern."""
     scheme = EncodingScheme(stage_palette("jhp"))
     base = compile_pure_class(problem, stage="jhp")
     k4 = ConstraintPattern(complete_graph(4), name="K4", constraint="K4")

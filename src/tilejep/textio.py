@@ -204,10 +204,6 @@ def read_tiling(path) -> TilingProblem:
     return tiling_from_text(Path(path).read_text())
 
 
-def write_tiling(path, problem: TilingProblem) -> None:
-    atomic_write(path, tiling_to_text(problem))
-
-
 def map_to_text(m) -> str:
     if isinstance(m, PeriodicTiling):
         lines = [f"periodic {m.px} {m.py}"]

@@ -27,7 +27,7 @@ from itertools import combinations, product
 from typing import Iterable
 
 from .core import ColoredGraph, disjoint_union, pair
-from .hereditary import CheckReport, HereditaryClass, SemanticRule, Violation
+from .hereditary import HereditaryClass, SemanticRule, Violation
 from .matching import ConstraintPattern, SearchBudget
 from .tiling import Patch, TilingMap, TilingProblem
 
@@ -727,7 +727,7 @@ def _rule_c1(palette: tuple) -> SemanticRule:
                 out.append(Violation("c1", "sem:c1", (v,)))
         return out
 
-    return SemanticRule("sem:c1", "c1", {"kind": "disjoint-predicates"}, fn)
+    return SemanticRule("sem:c1", "c1", {"kind": "disjoint-predicates"}, fn, decides=("c1",))
 
 
 def _rule_c2(level: int) -> SemanticRule:
@@ -744,7 +744,8 @@ def _rule_c2(level: int) -> SemanticRule:
                 out.append(_vio("c2", f"sem:c2:lvl{level}", g, (p1, p2, q)))
         return out
 
-    return SemanticRule(f"sem:c2:lvl{level}", "c2", {"kind": "unique-predecessor", "level": level}, fn)
+    return SemanticRule(f"sem:c2:lvl{level}", "c2", {"kind": "unique-predecessor", "level": level}, fn,
+                        decides=("c2",))
 
 
 def _rule_c3(level: int) -> SemanticRule:
@@ -756,7 +757,8 @@ def _rule_c3(level: int) -> SemanticRule:
                 out.append(_vio("c3", f"sem:c3:lvl{level}", g, (x, y)))
         return out
 
-    return SemanticRule(f"sem:c3:lvl{level}", "c3", {"kind": "origin-no-predecessor", "level": level}, fn)
+    return SemanticRule(f"sem:c3:lvl{level}", "c3", {"kind": "origin-no-predecessor", "level": level}, fn,
+                        decides=("c3",))
 
 
 def _rule_c4(level: int, axis: str) -> SemanticRule:
@@ -775,7 +777,8 @@ def _rule_c4(level: int, axis: str) -> SemanticRule:
         return out
 
     return SemanticRule(
-        f"sem:c4:lvl{level}:{axis}", "c4", {"kind": "unique-projection", "level": level, "axis": axis}, fn
+        f"sem:c4:lvl{level}:{axis}", "c4", {"kind": "unique-projection", "level": level, "axis": axis}, fn,
+        decides=("c4",),
     )
 
 
@@ -793,7 +796,7 @@ def _rule_c5(tiles: int) -> SemanticRule:
                 out.append(_vio("c5", "sem:c5", g, (h1, h2, t)))
         return out
 
-    return SemanticRule("sem:c5", "c5", {"kind": "unique-tile-owner", "tiles": tiles}, fn)
+    return SemanticRule("sem:c5", "c5", {"kind": "unique-tile-owner", "tiles": tiles}, fn, decides=("c5",))
 
 
 def _rule_c6(tiles: int) -> SemanticRule:
@@ -808,7 +811,7 @@ def _rule_c6(tiles: int) -> SemanticRule:
                 out.append(_vio("c6", "sem:c6", g, (h, t)))
         return out
 
-    return SemanticRule("sem:c6", "c6", {"kind": "unique-tile-type", "tiles": tiles}, fn)
+    return SemanticRule("sem:c6", "c6", {"kind": "unique-tile-type", "tiles": tiles}, fn, decides=("c6",))
 
 
 def _successor_witnesses(
@@ -1027,6 +1030,7 @@ def _rule_c7(problem: TilingProblem) -> SemanticRule:
         {"kind": "tiling-rules", "tiles": problem.tiles,
          "h": sorted(problem.h_forbidden), "v": sorted(problem.v_forbidden)},
         fn,
+        decides=("c7",),
     )
 
 
@@ -1035,7 +1039,7 @@ def _rule_c8(tiles: int) -> SemanticRule:
         rel = derive_relations(g, tiles, budget)
         return _c8_scan(g, rel, budget, g.has_edge, lambda x, y: not g.has_edge(x, y))
 
-    return SemanticRule("sem:c8", "c8", {"kind": "origin-must-tile", "tiles": tiles}, fn)
+    return SemanticRule("sem:c8", "c8", {"kind": "origin-must-tile", "tiles": tiles}, fn, decides=("c8",))
 
 
 def _rule_c9(problem: TilingProblem) -> SemanticRule:
@@ -1045,7 +1049,8 @@ def _rule_c9(problem: TilingProblem) -> SemanticRule:
                         lambda x, y: not g.has_edge(x, y))
 
     return SemanticRule(
-        "sem:c9", "c9", {"kind": "tiling-propagation", "tiles": problem.tiles}, fn
+        "sem:c9", "c9", {"kind": "tiling-propagation", "tiles": problem.tiles}, fn,
+        decides=("c9",),
     )
 
 # --------------------------------------------------------------------------
@@ -1057,14 +1062,16 @@ def compile_unary_class(problem: TilingProblem, palette: tuple = PALETTE_STAGE1)
     """Compile the colored-graph hereditary class attached to a tiling problem.
 
     Emits, per constraint, both an explicit pattern family and an
-    independently implemented semantic rule.  The small configurations
-    (c2..c6, c8) are quotient-closed over their witness vertices so the two
-    views match exactly.  The successor configurations (c7, c9) are emitted
-    as explicit subgraphs, including the diagonal path-coincidence variants;
-    their semantic rules additionally count configurations whose coding
-    witnesses are shared across the two levels, which arise from
-    coding-vertex identifications in joint embeddings and are too numerous
-    to close over pattern-side.
+    independently implemented semantic rule.  Each rule decides its own
+    tag, so ``check`` runs only the rules and the pattern families are the
+    tier-1 cross-check (``check(use_rules=False)``).  The small
+    configurations (c2..c6, c8) are quotient-closed over their witness
+    vertices so the two views match exactly.  The successor configurations
+    (c7, c9) are emitted as explicit subgraphs, including the diagonal
+    path-coincidence variants; their semantic rules additionally count
+    configurations whose coding witnesses are shared across the two levels,
+    which arise from coding-vertex identifications in joint embeddings and
+    are too numerous to close over pattern-side.
     """
     patterns: list = []
     patterns += _c1_patterns(palette)
@@ -1097,13 +1104,6 @@ def compile_unary_class(problem: TilingProblem, palette: tuple = PALETTE_STAGE1)
         meta={"stage": "unary", "tiles": problem.tiles,
               "h": sorted(problem.h_forbidden), "v": sorted(problem.v_forbidden)},
     )
-
-
-def check_constraints(
-    g: ColoredGraph, cls: HereditaryClass, budget: SearchBudget | None = None
-) -> CheckReport:
-    """Run every pattern and every semantic rule of the class against g."""
-    return cls.check(g, budget=budget)
 
 
 def joint_embed_unary(

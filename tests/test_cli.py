@@ -71,6 +71,21 @@ def test_usage_errors(specs, capsys):
     assert run("nonsense") == 3
     assert run("canon", "--model", "Q", "--depth", "1", specs / "free.txt", "-o", "x") == 3
     assert run("check", specs / "missing", specs / "missing.graph") == 3
+    bad_specs = ("tiles 1\nhnot 1 9\n", "tiles 1\nbogus 1\n", "tiles x\n", "tiles 1\nhnot 1\n", "hnot 1 1\n")
+    for i, spec in enumerate(bad_specs):
+        (specs / f"bad{i}.txt").write_text(spec)
+        assert run("tiling", "solve", "--n", "2", specs / f"bad{i}.txt") == 3, spec
+    (specs / "bad.graph").write_text("graph bad palette=11\nv v colors: origin0,grid0\n")
+    (specs / "junk.graph").write_text("graph junk\nq 1 2\n")
+    assert run("canon", "--model", "B", "--depth", "1", specs / "free.txt", "-o", specs / "B.graph") == 0
+    assert run("tiling", "periodic", specs / "free.txt", "-o", specs / "theta.map") == 0
+    # a non-member factor (MembershipError) and a malformed graph (FormatError)
+    for factor in ("bad.graph", "junk.graph"):
+        assert run("jointembed", "--theta", specs / "theta.map", specs / "free.txt",
+                   specs / factor, specs / "B.graph", "-o", specs / "C.graph") == 3, factor
+    # NO refutation exists for the unary stage only
+    for stage in ("pure", "jhp"):
+        assert run("experiment", "no", "--stage", stage, "--depth", "2", specs / "hard.txt") == 3
 
 
 def test_pure_stage_bundle_round_trip(specs):

@@ -11,7 +11,6 @@ from tilejep.unary import (
     AmbiguityError,
     canonical_A,
     canonical_B,
-    check_constraints,
     compile_unary_class,
     coordinates,
     derive_relations,
@@ -122,13 +121,13 @@ def test_constraint8_base_shape():
 def test_canonical_models_are_members():
     cls = compile_unary_class(T1H)
     for g in (canonical_A(1, T1H), canonical_A(2, T1H), canonical_B(2, T1H)):
-        assert check_constraints(g, cls).ok
+        assert cls.check(g).ok
 
 
 def test_multicolor_vertex_violates_c1():
     cls = compile_unary_class(T1)
     g = ColoredGraph(["v"], [], {"v": {"origin0", "grid0"}})
-    rep = check_constraints(g, cls)
+    rep = cls.check(g)
     assert not rep.ok and "c1" in rep.constraint_ids()
 
 
@@ -142,7 +141,7 @@ def test_double_predecessor_violates_c2():
          "a2": {"arrow_tail"}, "b2": {"arrow_head"}},
     )
     cls = compile_unary_class(T1)
-    rep = check_constraints(b, cls)
+    rep = cls.check(b)
     assert not rep.ok and "c2" in rep.constraint_ids()
 
 
@@ -156,7 +155,7 @@ def test_shared_coding_double_predecessor_still_violates_c2():
          "a1": {"arrow_tail"}, "a2": {"arrow_tail"}, "b": {"arrow_head"}},
     )
     cls = compile_unary_class(T1)
-    rep = check_constraints(b, cls)
+    rep = cls.check(b)
     assert "c2" in rep.constraint_ids()
     # both routes agree
     pv = cls.check(b, budget=SearchBudget(10**7), use_rules=False)
@@ -170,7 +169,7 @@ def test_origin_predecessor_violates_c3():
         [("p", "a"), ("a", "b"), ("b", "o")],
         {"p": {"path0"}, "o": {"origin0"}, "a": {"arrow_tail"}, "b": {"arrow_head"}},
     )
-    assert "c3" in check_constraints(g, compile_unary_class(T1)).constraint_ids()
+    assert "c3" in compile_unary_class(T1).check(g).constraint_ids()
 
 
 def test_double_projection_violates_c4():
@@ -179,7 +178,7 @@ def test_double_projection_violates_c4():
         [("g", "c"), ("c", "w"), ("g", "c2"), ("c2", "w2")],
         {"g": {"grid0"}, "w": {"path0"}, "w2": {"path0"}, "c": {"xproj"}, "c2": {"xproj"}},
     )
-    assert "c4" in check_constraints(g, compile_unary_class(T1)).constraint_ids()
+    assert "c4" in compile_unary_class(T1).check(g).constraint_ids()
 
 
 def test_tile_owned_twice_violates_c5():
@@ -188,7 +187,7 @@ def test_tile_owned_twice_violates_c5():
         [("g", "t"), ("h", "t")],
         {"g": {"grid1"}, "h": {"grid1"}, "t": {"tile"}},
     )
-    assert "c5" in check_constraints(g, compile_unary_class(T1)).constraint_ids()
+    assert "c5" in compile_unary_class(T1).check(g).constraint_ids()
 
 
 def test_two_chain_lengths_violely_c6():
@@ -198,7 +197,7 @@ def test_two_chain_lengths_violely_c6():
         [("g", "u"), ("u", "t"), ("g", "t")],
         {"g": {"grid1"}, "u": {"tile"}, "t": {"tile"}},
     )
-    assert "c6" in check_constraints(g, compile_unary_class(t2)).constraint_ids()
+    assert "c6" in compile_unary_class(t2).check(g).constraint_ids()
 
 
 def test_pattern_vs_semantic_verdicts_agree_on_random_graphs(rng):
@@ -220,7 +219,7 @@ def test_joint_embedding_adds_single_edge_at_depth_one():
     a, b = canonical_A(1, T1), canonical_B(1, T1)
     joint = joint_embed_unary(a, b, theta, T1, cls)
     assert len(joint.edges) == len(a.edges) + len(b.edges) + 1
-    assert check_constraints(joint, cls).ok
+    assert cls.check(joint).ok
 
 
 def test_factors_without_grids_give_plain_union():
@@ -277,7 +276,7 @@ def test_figure_row_reproduction():
     assert check_patch(t, theta)[0]
     cls = compile_unary_class(t)
     joint = joint_embed_unary(canonical_A(3, t), canonical_B(3, t), theta, t, cls)
-    assert check_constraints(joint, cls).ok
+    assert cls.check(joint).ok
     patch = extract_tiling(joint, 3, t)
     assert [patch.tile_at(x, 0) for x in range(3)] == [2, 2, 1]
 
@@ -302,7 +301,7 @@ def test_procedure_soundness_on_random_members(rng):
         a, b = members[i], members[i + 1]
         assert cls.check(a).ok and cls.check(b).ok
         joint = joint_embed_unary(a, b, theta, t, cls, check=False)
-        rep = check_constraints(joint, cls)
+        rep = cls.check(joint)
         assert rep.ok, rep.summary()
 
 
@@ -311,7 +310,7 @@ def test_readout_of_class_members_respects_rules(rng):
     cls = compile_unary_class(t)
     theta = solve_periodic(t, 2)
     joint = joint_embed_unary(canonical_A(2, t), canonical_B(2, t), theta, t, cls)
-    assert check_constraints(joint, cls).ok
+    assert cls.check(joint).ok
     patch = extract_tiling(joint, 2, t)
     ok, bad = check_patch(t, patch)
     assert ok, bad
