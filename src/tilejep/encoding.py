@@ -16,11 +16,12 @@ other constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional
 
-from .core import ColoredGraph, blocks
-from .hereditary import HereditaryClass, MembershipError, SemanticRule, Violation
+from .core import ColoredGraph, blocks, cycle_graph
+from .hereditary import HereditaryClass, MembershipError, PatternFamily, SemanticRule, Violation
 from .matching import (
     ConstraintPattern,
     SearchBudget,
@@ -249,6 +250,10 @@ def guard_constraints(scheme: EncodingScheme) -> list:
     don't-care.  H2, one per unordered pair of wheels (repetition allowed):
     the two wheels freely joined at their hubs, fully induced.
     """
+    return _h1_patterns(scheme) + _h2_patterns(scheme)
+
+
+def _h1_patterns(scheme: EncodingScheme) -> list:
     pats = []
     for color in scheme.palette:
         m = scheme.wheel_size(color)
@@ -262,6 +267,11 @@ def guard_constraints(scheme: EncodingScheme) -> list:
             if not w.has_edge(u, v)
         ]
         pats.append(ConstraintPattern(graph, forb, name=f"H1:W{m}", constraint="H1"))
+    return pats
+
+
+def _h2_patterns(scheme: EncodingScheme) -> list:
+    pats = []
     for c1, c2 in combinations_with_replacement(scheme.palette, 2):
         m1, m2 = scheme.wheel_size(c1), scheme.wheel_size(c2)
         verts = ["h"] + [f"a{i}" for i in range(1, m1 + 1)] + [f"b{i}" for i in range(1, m2 + 1)]
@@ -270,10 +280,11 @@ def guard_constraints(scheme: EncodingScheme) -> list:
             edges += [("h", f"{pre}{i}") for i in range(1, m + 1)]
             edges += [(f"{pre}{i}", f"{pre}{i % m + 1}") for i in range(1, m + 1)]
         graph = ColoredGraph(verts, edges, name=f"H2:W{m1}+W{m2}")
+        edgeset = set(edges)
         forb = [
             (u, v)
             for u, v in combinations(verts, 2)
-            if (u, v) not in {tuple(e) for e in edges} and (v, u) not in {tuple(e) for e in edges}
+            if (u, v) not in edgeset and (v, u) not in edgeset
         ]
         pats.append(ConstraintPattern(graph, forb, name=f"H2:W{m1}+W{m2}", constraint="H2"))
     return pats
@@ -375,6 +386,25 @@ def neighborhood_profile(g: ColoredGraph, budget: SearchBudget | None = None) ->
     return profile
 
 
+def _odd_scheme_cycle_hubs(g: ColoredGraph, profile: dict, sizes: set, budget: SearchBudget):
+    """The (hub, component) pairs of the non-cycle odd neighbourhood
+    components that contain an induced cycle of a scheme size.
+
+    A shortest odd cycle is induced, so an odd girth of a scheme size
+    settles a component; a shortest odd cycle of non-scheme length does not
+    rule out a longer induced scheme-size cycle, which the remaining
+    suspects get an explicit bounded induced-cycle search for.
+    """
+    for x, comp, girth in profile["odd"]:
+        if girth in sizes:
+            yield x, comp
+            continue
+        sub = g.induced(comp)
+        if any(girth < m <= len(comp) and contains_induced(cycle_graph(m), sub, budget)
+               for m in sorted(sizes)):
+            yield x, comp
+
+
 def _rule_guards(scheme: EncodingScheme) -> SemanticRule:
     """Structural recomputation of the H1/H2 verdicts.
 
@@ -382,20 +412,15 @@ def _rule_guards(scheme: EncodingScheme) -> SemanticRule:
     the neighborhood of x.  H1 fires when such a copy of a scheme size has
     a rim vertex touched from outside (rim degree above three), or when a
     non-cycle neighborhood component contains an induced odd cycle of a
-    scheme size (the component then also supplies the foreign neighbor):
-    the shortest odd cycle settles most components, and the remaining
-    suspects get an explicit bounded induced-cycle search.  H2 fires when
-    one hub carries two scheme-size copies.  Class verdicts agree with the
-    guard patterns on every host, so this rule decides H1 and H2; the
-    correspondence is cross-checked against direct matching on small hosts
-    in the test suite.
+    scheme size (the component then also supplies the foreign neighbor;
+    ``_odd_scheme_cycle_hubs``).  H2 fires when one hub carries two
+    scheme-size copies.  Class verdicts agree with the guard patterns on
+    every host, so this rule decides H1 and H2; the correspondence is
+    cross-checked against direct matching on small hosts in the test suite.
     """
     sizes = set(scheme.sizes())
 
     def fn(g: ColoredGraph, budget: SearchBudget) -> list:
-        from .core import cycle_graph
-        from .matching import contains_induced
-
         profile = neighborhood_profile(g, budget)
         out = []
         per_hub = {}
@@ -412,20 +437,12 @@ def _rule_guards(scheme: EncodingScheme) -> SemanticRule:
             if len(comps) >= 2:
                 wit = {x} | set(comps[0]) | set(comps[1])
                 out.append(Violation("H2", "sem:guards", tuple(g.sorted_vertices(wit))))
-        for x, comp, girth in profile["odd"]:
-            if girth in sizes:
-                out.append(Violation("H1", "sem:guards", (x, *comp)))
-            else:
-                # a shortest odd cycle of non-scheme length does not rule out
-                # a longer induced scheme-size cycle inside the component
-                sub = g.induced(comp)
-                for m in sorted(sizes):
-                    if girth < m <= len(comp) and contains_induced(cycle_graph(m), sub, budget):
-                        out.append(Violation("H1", "sem:guards", (x, *comp)))
-                        break
+        for x, comp in _odd_scheme_cycle_hubs(g, profile, sizes, budget):
+            out.append(Violation("H1", "sem:guards", (x, *comp)))
         return out
 
     return SemanticRule("sem:guards", "guards", {"kind": "structural-guards"}, fn, decides=("H1", "H2"))
+
 
 def _grid_edge_patterns() -> list:
     pats = []
@@ -462,21 +479,53 @@ def _wheel_shape_patterns(scheme: EncodingScheme) -> list:
     ]
 
 
+def _rule_wheel_shape(scheme: EncodingScheme) -> SemanticRule:
+    """Structural recomputation of the ``wheel-shape`` verdict.
+
+    An induced scheme wheel with hub x is an induced scheme-size cycle in
+    the neighborhood of x.  Such a cycle is either a whole neighbourhood
+    component that is a plain cycle, or lies in a non-cycle odd component
+    (``_odd_scheme_cycle_hubs``, shared with the H1 guard rule); scheme
+    sizes are odd, so bipartite components hold none.  The rule therefore
+    agrees with the wheel-shape patterns on every host and decides the tag.
+    Its ``constraint`` is ``guards``: it is the guard scan run on the
+    colored shadow.
+    """
+    sizes = set(scheme.sizes())
+
+    def fn(g: ColoredGraph, budget: SearchBudget) -> list:
+        profile = neighborhood_profile(g, budget)
+        out = [
+            Violation("wheel-shape", "sem:wheel-shape", tuple(g.sorted_vertices((x, *comp))))
+            for x, comp in profile["cycles"] if len(comp) in sizes
+        ]
+        for x, comp in _odd_scheme_cycle_hubs(g, profile, sizes, budget):
+            out.append(Violation("wheel-shape", "sem:wheel-shape", (x, *comp)))
+        return out
+
+    return SemanticRule("sem:wheel-shape", "guards", {"kind": "no-wheel-shape", "wheels": sorted(sizes)},
+                        fn, decides=("wheel-shape",))
+
+
 def compile_colored_class(problem: TilingProblem, stage: str = "pure") -> HereditaryClass:
     """The colored-language class used as the source of the pure encoding:
     stage-1 constraints over the extended palette, plus the grid-grid edge
     prohibition and the colored wheel-shape prohibitions.  Rules decide
-    c1..c9 and grid-edge; ``wheel-shape`` has no rule and is decided by its
-    patterns."""
+    every tag (``wheel-shape`` by the neighbourhood scan of
+    ``_rule_wheel_shape``), so neither the compile nor ``check`` builds a
+    pattern family."""
     palette = stage_palette(stage)
     scheme = EncodingScheme(palette)
     base = compile_unary_class(problem, palette)
-    patterns = tuple(base.patterns) + tuple(_grid_edge_patterns()) + tuple(_wheel_shape_patterns(scheme))
-    rules = tuple(base.rules) + (_rule_grid_edge(),)
+    families = base.families + (
+        PatternFamily("grid-edge", _grid_edge_patterns),
+        PatternFamily("wheel-shape", partial(_wheel_shape_patterns, scheme)),
+    )
+    rules = base.rules + (_rule_grid_edge(), _rule_wheel_shape(scheme))
     return HereditaryClass(
         name=f"colored-{stage}[{problem.describe()}]",
         palette=palette,
-        patterns=patterns,
+        patterns=families,
         rules=rules,
         meta=dict(base.meta, stage=f"colored-{stage}"),
     )
@@ -569,16 +618,30 @@ def wedged_size(p: ConstraintPattern, scheme: EncodingScheme) -> Optional[int]:
     return total
 
 
+def _wedge_family(family: PatternFamily, scheme: EncodingScheme, wedge_cap: int) -> list:
+    """The wedge images of a colored family's patterns up to ``wedge_cap`` vertices."""
+    out = []
+    for p in family.patterns:
+        size = wedged_size(p, scheme)
+        if size is None or size > wedge_cap:
+            continue
+        wp = wedge_pattern(p, scheme)
+        if wp is not None:
+            out.append(wp)
+    return out
+
+
 def compile_pure_class(
     problem: TilingProblem, stage: str = "pure", wedge_cap: int = 150
 ) -> HereditaryClass:
     """Compile the pure-graph-language class for a tiling problem.
 
-    Patterns: the wedge images of the single-colored constraint patterns of
-    the colored class, plus the H1/H2 guards.  Rules decide every tag:
-    the decoding rule recomputes every wedged (``w:*``) prohibition through
-    vee, and the structural guard rule decides H1 and H2, so ``check`` runs
-    no pattern.  The patterns are the tier-1 cross-check
+    Pattern families: the H1/H2 guards, then the wedge images of the
+    single-colored constraint patterns of the colored class, one family per
+    colored family.  Rules decide every tag: the decoding rule recomputes
+    every wedged (``w:*``) prohibition through vee, and the structural guard
+    rule decides H1 and H2, so neither the compile nor ``check`` builds a
+    pattern.  The patterns, built when read, are the tier-1 cross-check
     (``check(use_rules=False)``).  Wedge images above ``wedge_cap`` vertices
     (the successor-configuration constraints, 300+ vertices once encoded)
     are not materialized, and the pattern route skips the wedged and guard
@@ -587,21 +650,17 @@ def compile_pure_class(
     """
     scheme = EncodingScheme(stage_palette(stage))
     colored = compile_colored_class(problem, stage)
-    wedged = []
-    for p in colored.patterns:
-        if p.constraint == "wheel-shape":
-            continue  # stays a colored-language constraint; vee rule covers it
-        size = wedged_size(p, scheme)
-        if size is None or size > wedge_cap:
-            continue
-        wp = wedge_pattern(p, scheme)
-        if wp is not None:
-            wedged.append(wp)
-    guards = guard_constraints(scheme)
+    # wheel-shape stays a colored-language constraint; the vee rule covers it
+    wedged = tuple(
+        PatternFamily(f"w:{f.tag}", partial(_wedge_family, f, scheme, wedge_cap))
+        for f in colored.families if f.tag != "wheel-shape"
+    )
+    guards = (PatternFamily("H1", partial(_h1_patterns, scheme)),
+              PatternFamily("H2", partial(_h2_patterns, scheme)))
     return HereditaryClass(
         name=f"pure[{problem.describe()}]" if stage == "pure" else f"{stage}-pure[{problem.describe()}]",
         palette=(),
-        patterns=tuple(guards) + tuple(wedged),
+        patterns=guards + wedged,
         rules=(_rule_pure_membership(problem, scheme, colored), _rule_guards(scheme)),
         meta={
             "stage": stage if stage != "pure" else "pure",

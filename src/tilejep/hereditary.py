@@ -10,16 +10,25 @@ is decided by the rule route alone, and every other tag by its patterns.
 implemented independently; ``check(use_rules=False)`` (the whole pattern
 route) and ``check(use_patterns=False)`` (the whole rule route) are the
 cross-check the test suite runs against each other.
+
+Classes are rules-first.  Patterns come in ``PatternFamily`` declarations,
+each with its tag, built and cached only when something reads them: the
+pattern route, tags no rule decides, bundle writing, and the pattern
+consumers (``subset(...).patterns``, the generic witness pruner, the
+edge/non-edge transform).  Every compiled class has a rule for each tag, so
+neither its compile nor its default ``check`` builds a pattern.  One key,
+``pattern_tag``, names a pattern's tag in the route table, in ``subset``
+and in ``constraint_groups``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
 from .core import ColoredGraph
-from .matching import BudgetExceededError, SearchBudget, match_pattern
+from .matching import BudgetExceededError, ConstraintPattern, SearchBudget, match_pattern
 
 PASS = "pass"
 FAIL = "fail"
@@ -91,40 +100,77 @@ class SemanticRule:
         return any(tag == d or (d.endswith("*") and tag.startswith(d[:-1])) for d in self.decides)
 
 
-@dataclass(frozen=True)
-class HereditaryClass:
-    """A finitely constrained hereditary class over colored (or pure) graphs."""
+def pattern_tag(p: ConstraintPattern) -> str:
+    """The route-table key of a pattern: its constraint tag, else its name."""
+    return p.constraint or p.name
 
-    name: str
-    palette: tuple
-    patterns: tuple = ()
-    rules: tuple = ()
-    meta: dict = field(default_factory=dict)
+
+@dataclass(frozen=True, eq=False)
+class PatternFamily:
+    """A run of patterns sharing one tag, built on first read and cached.
+
+    ``build`` returns the patterns; every one of them must carry ``tag`` as
+    its ``pattern_tag``.
+    """
+
+    tag: str
+    build: Callable[[], Iterable[ConstraintPattern]]
+
+    @cached_property
+    def patterns(self) -> tuple:
+        return tuple(self.build())
+
+
+def _as_family(item) -> PatternFamily:
+    if isinstance(item, PatternFamily):
+        return item
+    return PatternFamily(pattern_tag(item), lambda p=item: (p,))
+
+
+class HereditaryClass:
+    """A finitely constrained hereditary class over colored (or pure) graphs.
+
+    ``patterns`` takes ``ConstraintPattern`` objects, ``PatternFamily``
+    declarations, or both; the compilers declare families, so a compile
+    builds no pattern.  The ``patterns`` attribute is the built tuple, in
+    declaration order, and building it builds every family.
+    """
+
+    def __init__(self, name: str, palette: tuple, patterns: Iterable = (), rules: tuple = (),
+                 meta: dict | None = None):
+        self.name = name
+        self.palette = palette
+        self.families = tuple(map(_as_family, patterns))
+        self.rules = tuple(rules)
+        self.meta = {} if meta is None else meta
+
+    @cached_property
+    def patterns(self) -> tuple:
+        return tuple(p for f in self.families for p in f.patterns)
 
     @cached_property
     def _pattern_routed(self) -> tuple:
-        """The patterns whose tag no rule of this class decides."""
-        return tuple(
-            p for p in self.patterns
-            if not any(r.decides_tag(p.constraint or p.name) for r in self.rules)
-        )
+        """The families whose tag no rule of this class decides."""
+        return tuple(f for f in self.families if not any(r.decides_tag(f.tag) for r in self.rules))
 
     def pattern_routed_tags(self) -> set:
         """Tags decided by their patterns in the default ``check``."""
-        return {p.constraint or p.name for p in self._pattern_routed}
+        return {f.tag for f in self._pattern_routed}
 
     def constraint_groups(self) -> dict:
         groups: dict = {}
-        for p in self.patterns:
-            groups.setdefault(p.constraint or p.name, []).append(p)
+        for f in self.families:
+            groups.setdefault(f.tag, []).extend(f.patterns)
         return groups
 
     def subset(self, constraints: Iterable[str], name: str = "") -> "HereditaryClass":
+        """The families with a tag and the rules with a constraint in
+        ``constraints``; families are shared, so nothing is built."""
         keep = set(constraints)
         return HereditaryClass(
             name=name or f"{self.name}|{','.join(sorted(keep))}",
             palette=self.palette,
-            patterns=tuple(p for p in self.patterns if p.constraint in keep),
+            patterns=tuple(f for f in self.families if f.tag in keep),
             rules=tuple(r for r in self.rules if r.constraint in keep),
             meta=dict(self.meta),
         )
@@ -142,9 +188,10 @@ class HereditaryClass:
 
         By default each tag is decided by its authoritative route only:
         every rule runs, and patterns run only for the tags no rule of this
-        class decides.  ``use_rules=False`` runs every pattern and no rule
-        (the pattern route); ``use_patterns=False`` runs every rule and no
-        pattern (the rule route).  The two are the cross-check.
+        class decides; those are the only families it builds.
+        ``use_rules=False`` runs every pattern and no rule (the pattern
+        route); ``use_patterns=False`` runs every rule and no pattern (the
+        rule route).  The two are the cross-check.
 
         Budget exhaustion yields an indeterminate verdict, never a pass.
         Violations are merged in deterministic (constraint, source, witness)
@@ -165,7 +212,8 @@ class HereditaryClass:
         notes: list = []
         host_multicolor = bool(g.multicolored_vertices())
         host_cap = self.meta.get("pattern_host_cap")
-        patterns = (self._pattern_routed if use_rules else self.patterns) if use_patterns else ()
+        families = (self._pattern_routed if use_rules else self.families) if use_patterns else ()
+        patterns = [p for f in families for p in f.patterns]
         try:
             for p in patterns:
                 if p.multicolored and not host_multicolor:
@@ -183,7 +231,7 @@ class HereditaryClass:
                 found = match_pattern(p, g, budget=budget, limit=max_witnesses_per_pattern)
                 for m in found:
                     wit = tuple(g.sorted_vertices(m.map.values()))
-                    violations.append(Violation(p.constraint or p.name, p.name, wit))
+                    violations.append(Violation(pattern_tag(p), p.name, wit))
             if use_rules:
                 for r in self.rules:
                     violations.extend(r.check(g, budget))

@@ -33,6 +33,7 @@ from .hereditary import (
     PASS,
     CheckReport,
     HereditaryClass,
+    PatternFamily,
     SemanticRule,
     Violation,
 )
@@ -270,18 +271,22 @@ def _rule_no_proper_images(scheme: EncodingScheme) -> tuple:
     return tuple(rules)
 
 
+def _k4_patterns() -> tuple:
+    return (ConstraintPattern(complete_graph(4), name="K4", constraint="K4"),)
+
+
 def compile_jhp_class(problem: TilingProblem) -> HereditaryClass:
     """The stage-3 pure-graph class: the stage-2 compilation over the palette
     extended with the guard color, united with the K4 prohibition and the
     deformed-wheel-image rules.  Rules decide every tag (K4 by the
-    deformed-image rules' scan), so ``check`` runs no pattern."""
+    deformed-image rules' scan), so neither the compile nor ``check``
+    builds a pattern; the K4 family comes after the stage-2 families."""
     scheme = EncodingScheme(stage_palette("jhp"))
     base = compile_pure_class(problem, stage="jhp")
-    k4 = ConstraintPattern(complete_graph(4), name="K4", constraint="K4")
     return HereditaryClass(
         name=f"jhp[{problem.describe()}]",
         palette=(),
-        patterns=tuple(base.patterns) + (k4,),
+        patterns=base.families + (PatternFamily("K4", _k4_patterns),),
         rules=tuple(base.rules) + _rule_no_proper_images(scheme),
         meta=dict(base.meta, stage="jhp"),
     )

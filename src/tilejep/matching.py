@@ -167,6 +167,10 @@ def _match_engine(
             forb[v].append(u)
         else:
             forb[u].append(v)
+    # edge-set iteration order follows the hash seed; plan order does not
+    for v in order:
+        req[v].sort(key=pos.__getitem__)
+        forb[v].sort(key=pos.__getitem__)
 
     assign: dict = {}
     used: set = set()
@@ -178,8 +182,8 @@ def _match_engine(
         pool = host_vertices
         if neighbors_of is not None and req[v]:
             # a required edge into the matched part restricts candidates to
-            # one matched image's neighborhood
-            pool = neighbors_of(assign[req[v][0]])
+            # the smallest matched image's neighborhood, ties to the earliest
+            pool = min((neighbors_of(assign[w]) for w in req[v]), key=len)
         for x in pool:
             if x in used:
                 continue

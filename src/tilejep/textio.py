@@ -24,8 +24,10 @@ Patches serialize row-major with the y=0 row first, `.` for blank cells:
     ...                  |  ...
 
 Compiled classes serialize to a bundle directory: ``manifest.json`` plus one
-pattern file per constraint instance.  Semantic rules are stored as their
-descriptors and rebuilt by the compiler registry on load.
+pattern file per constraint instance.  The manifest records each pattern
+file's tag, so a loaded class parses a tag's files only when that family is
+read.  Semantic rules are stored as their descriptors and rebuilt on load
+by recompiling the class, which builds no pattern.
 
 All writers go through a temp file and an atomic rename.
 """
@@ -35,11 +37,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from .core import ColoredGraph
 from .matching import ConstraintPattern
-from .hereditary import HereditaryClass
+from .hereditary import HereditaryClass, PatternFamily, pattern_tag
 from .tiling import Patch, PeriodicTiling, TilingProblem
 
 
@@ -287,23 +292,38 @@ def write_bundle(dirpath, cls: HereditaryClass) -> None:
         "palette": list(cls.palette),
         "meta": dict(cls.meta),
         "patterns": files,
+        "pattern_tags": [pattern_tag(p) for p in cls.patterns],
         "semantic_rules": [dict(r.descriptor, name=r.name, constraint=r.constraint) for r in cls.rules],
     }
     atomic_write(d / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _read_patterns(d: Path, files: tuple) -> list:
+    return [pattern_from_text((d / f).read_text()) for f in files]
+
+
 def read_bundle(dirpath) -> HereditaryClass:
     """Rebuild a compiled class from a bundle directory.
 
-    Patterns load from their files; semantic rules are reconstructed by
-    recompiling from the manifest's recorded stage and tiling problem,
-    then matched up by rule name.
+    Semantic rules are reconstructed by recompiling from the manifest's
+    recorded stage and tiling problem (a compile builds no pattern), then
+    matched up by rule name.  Pattern files load per tag: each run of files
+    with one ``pattern_tags`` entry becomes a family parsed only when read,
+    so a default ``check`` parses none.  A manifest without tags loads
+    every pattern file at once.
     """
     d = Path(dirpath)
     manifest = json.loads((d / "manifest.json").read_text())
-    patterns = tuple(
-        pattern_from_text((d / f).read_text()) for f in manifest["patterns"]
-    )
+    files = manifest["patterns"]
+    if "pattern_tags" in manifest:
+        if len(manifest["pattern_tags"]) != len(files):
+            raise FormatError("manifest lists a different number of pattern tags and pattern files")
+        patterns = tuple(
+            PatternFamily(tag, partial(_read_patterns, d, tuple(f for f, _ in run)))
+            for tag, run in groupby(zip(files, manifest["pattern_tags"]), key=itemgetter(1))
+        )
+    else:
+        patterns = tuple(_read_patterns(d, files))
     meta = manifest.get("meta", {})
     rules: tuple = ()
     stage = meta.get("stage")

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, product
 from typing import Iterable
 
 from .core import ColoredGraph, disjoint_union, pair
-from .hereditary import HereditaryClass, SemanticRule, Violation
+from .hereditary import HereditaryClass, PatternFamily, SemanticRule, Violation
 from .matching import ConstraintPattern, SearchBudget
 from .tiling import Patch, TilingMap, TilingProblem
 
@@ -1061,29 +1062,32 @@ def _rule_c9(problem: TilingProblem) -> SemanticRule:
 def compile_unary_class(problem: TilingProblem, palette: tuple = PALETTE_STAGE1) -> HereditaryClass:
     """Compile the colored-graph hereditary class attached to a tiling problem.
 
-    Emits, per constraint, both an explicit pattern family and an
+    Declares, per constraint, both an explicit pattern family and an
     independently implemented semantic rule.  Each rule decides its own
-    tag, so ``check`` runs only the rules and the pattern families are the
-    tier-1 cross-check (``check(use_rules=False)``).  The small
-    configurations (c2..c6, c8) are quotient-closed over their witness
-    vertices so the two views match exactly.  The successor configurations
-    (c7, c9) are emitted as explicit subgraphs, including the diagonal
-    path-coincidence variants; their semantic rules additionally count
-    configurations whose coding witnesses are shared across the two levels,
-    which arise from coding-vertex identifications in joint embeddings and
-    are too numerous to close over pattern-side.
+    tag, so ``check`` runs only the rules, and the pattern families, built
+    only when read, are the tier-1 cross-check (``check(use_rules=False)``).
+    The small configurations (c2..c6, c8) are quotient-closed over their
+    witness vertices so the two views match exactly.  The successor
+    configurations (c7, c9) are emitted as explicit subgraphs, including the
+    diagonal path-coincidence variants; their semantic rules additionally
+    count configurations whose coding witnesses are shared across the two
+    levels, which arise from coding-vertex identifications in joint
+    embeddings and are too numerous to close over pattern-side.
     """
-    patterns: list = []
-    patterns += _c1_patterns(palette)
+    families = [PatternFamily("c1", partial(_c1_patterns, palette))]
     for lvl in (0, 1):
-        patterns += _c2_patterns(lvl)
-        patterns += _c3_patterns(lvl)
-        patterns += _c4_patterns(lvl)
-    patterns += _c5_patterns(problem.tiles)
-    patterns += _c6_patterns(problem.tiles)
-    patterns += _c7_patterns(problem)
-    patterns += _c8_patterns(problem.tiles)
-    patterns += _c9_patterns(problem)
+        families += [
+            PatternFamily("c2", partial(_c2_patterns, lvl)),
+            PatternFamily("c3", partial(_c3_patterns, lvl)),
+            PatternFamily("c4", partial(_c4_patterns, lvl)),
+        ]
+    families += [
+        PatternFamily("c5", partial(_c5_patterns, problem.tiles)),
+        PatternFamily("c6", partial(_c6_patterns, problem.tiles)),
+        PatternFamily("c7", partial(_c7_patterns, problem)),
+        PatternFamily("c8", partial(_c8_patterns, problem.tiles)),
+        PatternFamily("c9", partial(_c9_patterns, problem)),
+    ]
 
     rules = [
         _rule_c1(palette),
@@ -1099,7 +1103,7 @@ def compile_unary_class(problem: TilingProblem, palette: tuple = PALETTE_STAGE1)
     return HereditaryClass(
         name=f"unary[{problem.describe()}]",
         palette=palette,
-        patterns=tuple(patterns),
+        patterns=tuple(families),
         rules=tuple(rules),
         meta={"stage": "unary", "tiles": problem.tiles,
               "h": sorted(problem.h_forbidden), "v": sorted(problem.v_forbidden)},

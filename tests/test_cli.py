@@ -97,3 +97,26 @@ def test_pure_stage_bundle_round_trip(specs):
     assert run("canon", "--model", "A", "--depth", "1", "--stage", "pure",
                specs / "free.txt", "-o", g) == 0
     assert run("check", bundle, g) == 0
+
+
+# sha256 over (file name, NUL, bytes) of every pattern file, in name order,
+# as written for *three* before pattern families were built on demand
+THREE_PATTERN_DIGESTS = {
+    "unary": (3074, "b13b9a3d6b49a7417d710a19351160a4db5843cf5ff79962dbe064b550197d7b"),
+    "pure": (175, "55e2e5c2e66a3480863b09a3b75d04f442b3d3f8abd8ba4bef8f3d86dec2283e"),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(THREE_PATTERN_DIGESTS))
+def test_compile_writes_the_same_pattern_files(tmp_path, stage):
+    import hashlib
+
+    spec = tmp_path / "three.txt"
+    spec.write_text("tiles 2\nhnot 1 1\nhnot 1 2\nhnot 2 2\n")
+    bundle = tmp_path / stage
+    assert run("compile", "--stage", stage, spec, "-o", bundle) == 0
+    files = sorted(bundle.glob("*.pat"))
+    digest = hashlib.sha256()
+    for f in files:
+        digest.update(f.name.encode() + b"\0" + f.read_bytes())
+    assert (len(files), digest.hexdigest()) == THREE_PATTERN_DIGESTS[stage]

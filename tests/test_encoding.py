@@ -355,3 +355,80 @@ def test_dummy_color_stays_out_of_nontrivial_constraints():
         uses = any(dummy in p.pattern.colors(v) for v in p.pattern.vertices)
         if uses:
             assert p.constraint == "c1" and len(p) == 1
+
+
+def _wheel_shape_routes(cls):
+    """(rule verdict, pattern verdict) functions for the wheel-shape tag."""
+    rule = next(r for r in cls.rules if r.name == "sem:wheel-shape")
+    patterns = cls.subset(["wheel-shape"])
+
+    def verdicts(g):
+        by_rule = bool(rule.check(g, SearchBudget(10**8)))
+        by_patterns = not patterns.check(g, budget=SearchBudget(10**8), use_rules=False).ok
+        return by_rule, by_patterns
+
+    return verdicts
+
+
+def _with_outside(g, extra):
+    """g plus fresh vertices x0, x1, ... attached to the listed vertices."""
+    verts = list(g.vertices) + [f"x{i}" for i in range(len(extra))]
+    edges = [tuple(e) for e in g.edges]
+    edges += [(f"x{i}", v) for i, vs in enumerate(extra) for v in vs]
+    return ColoredGraph(verts, edges, {v: {"tile"} for v in verts})
+
+
+def test_wheel_shape_rule_agrees_with_wheel_shape_patterns(rng):
+    from tests.conftest import random_colored_graph
+
+    t = TilingProblem(1, h_forbidden={(1, 1)})
+    for stage in ("pure", "jhp"):
+        verdicts = _wheel_shape_routes(compile_colored_class(t, stage))
+        sizes = EncodingScheme(stage_palette(stage)).sizes()
+        # planted induced W_m for every scheme size, with outside neighbours
+        for m in sizes:
+            w = _with_outside(wheel(m), [(1,), (0, 3)])
+            assert verdicts(w) == (True, True), m
+        # rims of non-scheme length; a rim with a chord
+        for m in (5, 8, 11 if 11 not in sizes else 6):
+            assert verdicts(_with_outside(wheel(m), [(2,)])) == (False, False), m
+        assert verdicts(_with_outside(wheel(7).with_edges([(1, 4)]), [])) == (False, False)
+        assert verdicts(_with_outside(wheel(9).with_edges([(2, 7)]), [(5,)])) == (False, False)
+        # a hub whose neighbourhood component has odd girth 3 and still
+        # contains an induced 7-cycle; without the 7-cycle, no wheel shape
+        tri = _with_outside(wheel(7), [(0, 1, 2)])
+        assert verdicts(tri) == (True, True)
+        assert verdicts(_with_outside(wheel(7).with_edges([(1, 3)]), [(0, 1, 2)])) == (False, False)
+    verdicts = _wheel_shape_routes(compile_colored_class(t, "pure"))
+    for _ in range(60):
+        g = random_colored_graph(rng, n_max=14, edge_p=rng.choice((0.3, 0.55, 0.75)), n_min=8)
+        assert len(set(verdicts(g))) == 1, sorted(map(tuple, g.edges))
+    # planted wheels with random pairs flipped: chords, broken rims, and
+    # outside vertices joined to hub and rim
+    seen = set()
+    for _ in range(150):
+        w = _with_outside(wheel(rng.choice((7, 9))), [(), (), ()])
+        pairs = [(u, v) for i, u in enumerate(w.vertices) for v in w.vertices[i + 1:]]
+        flip = {frozenset(e) for e in rng.sample(pairs, rng.randint(1, 4))}
+        g = ColoredGraph(w.vertices, {frozenset(e) for e in w.edges} ^ flip, w.color_map)
+        by_rule, by_patterns = verdicts(g)
+        assert by_rule == by_patterns, sorted(map(tuple, g.edges))
+        seen.add(by_rule)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("stage", ["pure", "jhp"])
+def test_wheel_shape_rule_agrees_on_encoded_d1_shadows(stage):
+    from tilejep.jhp import augment
+
+    t = TilingProblem(2, h_forbidden={(1, 1), (2, 2)}, v_forbidden={(1, 1), (2, 2)})
+    scheme = EncodingScheme(stage_palette(stage))
+    pure = compile_pure_class(t, stage)
+    a, b = canonical_A(1, t), canonical_B(1, t)
+    if stage == "jhp":
+        a, b = augment(a).graph, augment(b).graph
+    wa, wb = wedge(a, scheme), wedge(b, scheme)
+    joint = complete_and_joint_embed_pure(wa, wb, t, solve_periodic(t, 4), stage=stage, cls=pure)
+    verdicts = _wheel_shape_routes(compile_colored_class(t, stage))
+    for g in (wa, wb, joint):
+        assert verdicts(vee(g, scheme)) == (False, False), g.name

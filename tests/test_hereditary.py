@@ -5,10 +5,16 @@ import random
 
 import pytest
 
-from tilejep import hereditary
+from tilejep import encoding, hereditary, jhp, textio, unary
 from tilejep.core import ColoredGraph, complete_graph, disjoint_union
-from tilejep.encoding import EncodingScheme, compile_colored_class, compile_pure_class, wedge
-from tilejep.hereditary import HereditaryClass
+from tilejep.encoding import (
+    EncodingScheme,
+    compile_colored_class,
+    compile_pure_class,
+    complete_and_joint_embed_pure,
+    wedge,
+)
+from tilejep.hereditary import HereditaryClass, pattern_tag
 from tilejep.jhp import augment, compile_jhp_class, contains_k4
 from tilejep.matching import ConstraintPattern, SearchBudget, matches
 from tilejep.tiling import TilingProblem, solve_periodic
@@ -38,7 +44,8 @@ def h11():
 
 def test_pattern_routed_tags_per_stage(h11):
     assert h11["unary"].pattern_routed_tags() == set()
-    assert h11["colored"].pattern_routed_tags() == {"wheel-shape"}
+    # wheel-shape is decided by sem:wheel-shape, so no tag is pattern-routed
+    assert h11["colored"].pattern_routed_tags() == set()
     assert h11["pure"].pattern_routed_tags() == set()
     assert h11["jhp"].pattern_routed_tags() == set()
 
@@ -49,6 +56,63 @@ def test_subset_without_the_rule_falls_back_to_patterns(h11):
     only_patterns = HereditaryClass("c7-patterns", cls.palette,
                                     tuple(p for p in cls.patterns if p.constraint == "c7"))
     assert only_patterns.pattern_routed_tags() == {"c7"}
+
+
+def test_every_family_holds_only_its_tag(h11):
+    for cls in h11.values():
+        for f in cls.families:
+            assert {pattern_tag(p) for p in f.patterns} <= {f.tag}, (cls.name, f.tag)
+
+
+def test_subset_and_groups_use_the_route_key():
+    path = ColoredGraph(range(3), [(0, 1), (1, 2)])
+    named = ConstraintPattern(complete_graph(2), name="f0")  # no constraint tag
+    tagged = ConstraintPattern(complete_graph(3), name="tri", constraint="T")
+    cls = HereditaryClass("toy", (), (named, tagged))
+    assert cls.pattern_routed_tags() == {"f0", "T"}
+    assert set(cls.constraint_groups()) == {"f0", "T"}
+    only = cls.subset(["f0"])
+    assert only.patterns == (named,)
+    assert not only.check(path).ok and cls.subset(["T"]).check(path).ok
+
+
+PATTERN_BUILDERS = (
+    [(unary, f"_c{i}_patterns") for i in range(1, 10)]
+    + [(encoding, name) for name in ("_grid_edge_patterns", "_wheel_shape_patterns",
+                                     "_h1_patterns", "_h2_patterns", "wedge_pattern")]
+    + [(jhp, "_k4_patterns"), (textio, "pattern_from_text")]
+)
+
+
+def wheel_shape_host() -> ColoredGraph:
+    """An induced 7-rim wheel on tile vertices: a colored wheel-shape."""
+    w = encoding.wheel(7)
+    return ColoredGraph(w.vertices, w.edges, {v: {TILE} for v in w.vertices})
+
+
+def test_rules_first_compile_and_check_build_no_pattern(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pattern was built")
+
+    for module, name in PATTERN_BUILDERS:
+        monkeypatch.setattr(module, name, refuse)
+    scheme = EncodingScheme(stage_palette("pure"))
+    jscheme = EncodingScheme(stage_palette("jhp"))
+    a, b = canonical_A(1, CHECKER), canonical_B(1, CHECKER)
+    theta = solve_periodic(CHECKER, 4)
+    uni = compile_unary_class(CHECKER)
+    assert uni.check(joint_embed_unary(a, b, theta, CHECKER, uni)).ok
+    colored = compile_colored_class(CHECKER)
+    assert colored.check(a).ok and "wheel-shape" in colored.check(wheel_shape_host()).constraint_ids()
+    pure = compile_pure_class(CHECKER)
+    wa, wb = wedge(a, scheme), wedge(b, scheme)
+    assert pure.check(complete_and_joint_embed_pure(wa, wb, CHECKER, theta, cls=pure)).ok
+    jcls = compile_jhp_class(CHECKER)
+    assert jcls.check(wedge(augment(a).graph, jscheme)).ok
+    assert jcls.check(complete_graph(4)).constraint_ids() == {"K4"}
+    for cls in (uni, colored, pure, jcls):
+        with pytest.raises(AssertionError, match="a pattern was built"):
+            cls.check(a, budget=SearchBudget(10**6), use_rules=False)
 
 
 def _recording(monkeypatch):
@@ -73,20 +137,17 @@ def test_default_check_matches_no_rule_decided_pattern(h11, monkeypatch):
         {"g": {"grid0"}, "w": {"path0"}, "w2": {"path0"}, "c": {"xproj"}, "c2": {"xproj"}},
     )
     cases = [
-        (h11["unary"], [a, b, canonical_A(2, H11), double_projection], set()),
-        (h11["pure"], [wedge(a, scheme), wedge(double_projection, scheme)], {"wheel-shape"}),
-        (h11["jhp"], [wedge(augment(a).graph, jscheme), complete_graph(4)], {"wheel-shape"}),
+        (h11["unary"], [a, b, canonical_A(2, H11), double_projection]),
+        (h11["pure"], [wedge(a, scheme), wedge(double_projection, scheme)]),
+        (h11["jhp"], [wedge(augment(a).graph, jscheme), complete_graph(4)]),
     ]
     calls = _recording(monkeypatch)
-    for cls, hosts, allowed in cases:
-        decided = {p.constraint for p in cls.patterns} - cls.pattern_routed_tags()
+    for cls, hosts in cases:
         for g in hosts:
-            del calls[:]
             cls.check(g, budget=SearchBudget(10**8))
-            # the only matching left comes from the colored class the
-            # decoding rule checks on the vee shadow
-            assert set(calls) <= allowed and not set(calls) & decided, (cls.name, g.name)
-    del calls[:]
+            # the colored class the decoding rule checks on the vee shadow
+            # decides wheel-shape by its rule too, so nothing is matched
+            assert not calls, (cls.name, g.name, calls)
     h11["unary"].check(a, budget=SearchBudget(10**8), use_rules=False)
     assert calls  # the recorder does see the pattern route
 

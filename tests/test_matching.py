@@ -201,3 +201,36 @@ def test_homomorphisms_contain_all_induced_embeddings():
             assert key in hom_keys
         for m in homs:
             assert is_hom(h, g, m)
+
+
+NODE_COUNT_SCRIPT = """
+from tilejep.matching import SearchBudget
+from tilejep.tiling import TilingProblem
+from tilejep.unary import canonical_A, canonical_B, compile_unary_class
+
+t = TilingProblem(2, h_forbidden={(1, 1), (2, 2)}, v_forbidden={(1, 1), (2, 2)})
+cls = compile_unary_class(t)
+for g in (canonical_A(2, t), canonical_B(3, t)):
+    budget = SearchBudget(10**8)
+    cls.check(g, budget=budget, use_rules=False)
+    print(budget.used)
+"""
+
+
+def test_pattern_route_node_counts_do_not_depend_on_the_hash_seed():
+    # candidates come from the smallest matched neighbour's neighbourhood,
+    # chosen in plan order, never in edge-set iteration order
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    counts = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", NODE_COUNT_SCRIPT], env=env, check=True,
+                             capture_output=True, text=True, timeout=300).stdout
+        counts.add(tuple(out.split()))
+    assert len(counts) == 1, counts

@@ -112,3 +112,61 @@ def test_tworel_round_trip():
     s = TwoRelStructure((0, 1, 2), [(0, 1)], [(0, 2), (1, 2)], name="valid3")
     s2 = tworel_from_text(tworel_to_text(s))
     assert s2 == s and s2.is_valid()
+
+
+def _counting(monkeypatch):
+    from tilejep import textio
+
+    parsed = []
+    plain = textio.pattern_from_text
+
+    def count(text):
+        parsed.append(text)
+        return plain(text)
+
+    monkeypatch.setattr(textio, "pattern_from_text", count)
+    return parsed
+
+
+@pytest.mark.parametrize("stage", ["unary", "pure"])
+def test_check_on_a_fresh_bundle_parses_no_pattern_file(tmp_path, monkeypatch, stage):
+    from tilejep.encoding import compile_pure_class, wedge
+    from tilejep.tiling import TilingProblem
+    from tilejep.unary import canonical_A, compile_unary_class, stage_palette
+
+    t = TilingProblem(1, h_forbidden={(1, 1)})
+    cls = compile_unary_class(t) if stage == "unary" else compile_pure_class(t)
+    write_bundle(tmp_path / "bundle", cls)
+    parsed = _counting(monkeypatch)
+    loaded = read_bundle(tmp_path / "bundle")
+    a = canonical_A(2, t)
+    if stage == "pure":
+        a = wedge(a, EncodingScheme(stage_palette("pure")))
+    assert loaded.check(a).ok and not parsed
+    # reading the families parses each file once, in the written order
+    assert [pattern_to_text(p) for p in loaded.patterns] == [pattern_to_text(p) for p in cls.patterns]
+    assert len(parsed) == len(cls.patterns)
+
+
+def test_manifest_without_tags_still_reads(tmp_path, monkeypatch):
+    import json
+
+    from tilejep.tiling import TilingProblem
+    from tilejep.unary import canonical_A, compile_unary_class
+
+    t = TilingProblem(1, h_forbidden={(1, 1)})
+    cls = compile_unary_class(t)
+    write_bundle(tmp_path / "bundle", cls)
+    manifest = tmp_path / "bundle" / "manifest.json"
+    data = json.loads(manifest.read_text())
+    del data["pattern_tags"]
+    manifest.write_text(json.dumps(data))
+    parsed = _counting(monkeypatch)
+    loaded = read_bundle(tmp_path / "bundle")
+    assert len(parsed) == len(cls.patterns)  # every file, at once
+    assert [pattern_to_text(p) for p in loaded.patterns] == [pattern_to_text(p) for p in cls.patterns]
+    assert loaded.check(canonical_A(2, t)).ok
+    data["pattern_tags"] = ["c1"]
+    manifest.write_text(json.dumps(data))
+    with pytest.raises(FormatError):
+        read_bundle(tmp_path / "bundle")
