@@ -5,16 +5,21 @@ Everything here returns first-class verdicts: ``found`` / ``none`` /
 ``indeterminate`` for searches and ``success`` / ``failure`` /
 ``indeterminate`` for experiments.  Budget exhaustion is never folded into
 a definite answer.
+
+The witness search is one iterative DPLL loop over the undecided cross
+pairs; for unary classes it refutes c7..c9, grounded once into clauses, by
+unit propagation (see ``jep_witness_search`` for soundness and budget).
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .core import ColoredGraph, disjoint_union
+from .core import ColoredGraph, disjoint_union, free_join
 from .hereditary import FAIL, INDETERMINATE, PASS, HereditaryClass
 from .matching import BudgetExceededError, SearchBudget, _match_engine
 from .tiling import (
@@ -33,6 +38,7 @@ from .unary import (
     compile_unary_class,
     coordinates,
     extract_tiling,
+    ground_clauses,
     joint_embed_unary,
 )
 
@@ -88,27 +94,81 @@ def _identification_matchings(a: ColoredGraph, b: ColoredGraph, budget: SearchBu
 
 
 class _PartialHost:
-    """Decided-edge views of a partially constructed witness.
+    """A partial assignment of the undecided pairs and its decided-edge views.
 
-    ``lo`` holds only decided-present edges; a pair is definitely absent
-    when it is neither decided-present nor still undecided.  Patterns run
-    with required edges against lo and forbidden pairs against
-    definite absence, so any match is a violation of every completion.
+    ``value[i]`` is None, True (edge) or False (non-edge) for ``keys[i]``
+    (literal ``i + 1`` / ``-(i + 1)``), and ``trail`` lists the assigned
+    indices in order, so backtracking undoes a suffix.  ``extra`` holds the
+    decided-present pairs.
     """
 
-    def __init__(self, base: ColoredGraph, undecided: set):
+    def __init__(self, base: ColoredGraph, keys: list, clauses: list):
         self.base = base
-        self.undecided = set(undecided)
+        self.keys = keys
+        self.value: list = [None] * len(keys)
+        self.trail: list = []
+        self.index = {k: i for i, k in enumerate(keys)}
         self.extra: set = set()
+        self.occurs = defaultdict(list)
+        for c in clauses:
+            for lit in c:
+                self.occurs[lit].append(c)
 
     def lo_graph(self) -> ColoredGraph:
         return self.base.with_edges(tuple(e) for e in self.extra)
 
     def definitely_absent(self, x, y) -> bool:
-        key = frozenset((x, y))
-        if key in self.extra or key in self.undecided:
-            return False
-        return not self.base.has_edge(x, y)
+        i = self.index.get(frozenset((x, y)))
+        return not self.base.has_edge(x, y) if i is None else self.value[i] is False
+
+    def assign(self, lit: int) -> None:
+        i = abs(lit) - 1
+        self.value[i] = lit > 0
+        self.trail.append(i)
+        if lit > 0:
+            self.extra.add(self.keys[i])
+
+    def undo(self, mark: int) -> None:
+        for i in self.trail[mark:]:
+            self.value[i] = None
+            self.extra.discard(self.keys[i])
+        del self.trail[mark:]
+
+    def start(self, clauses: list, budget: SearchBudget) -> bool:
+        """Assign the unit clauses and propagate; False on a root conflict."""
+        for c in clauses:
+            if not c:
+                return False
+            if len(c) == 1 and self.value[abs(c[0]) - 1] is None:
+                budget.spend()
+                self.assign(c[0])
+        return self.propagate(0, budget)
+
+    def propagate(self, head: int, budget: SearchBudget) -> bool:
+        """Unit propagation of ``trail[head:]``; False once a clause is
+        falsified.  Clauses hold at most tiles + 1 literals, so every clause
+        an assignment falsifies a literal of is rescanned whole instead of
+        through two watched literals."""
+        value = self.value
+        while head < len(self.trail):
+            i = self.trail[head]
+            head += 1
+            for c in self.occurs.get(-(i + 1) if value[i] else i + 1, ()):
+                unit = None
+                for lit in c:
+                    v = value[abs(lit) - 1]
+                    if v is None:
+                        if unit is not None:
+                            break
+                        unit = lit
+                    elif v == (lit > 0):
+                        break
+                else:
+                    if unit is None:
+                        return False
+                    budget.spend()
+                    self.assign(unit)
+        return True
 
 
 def _generic_pruner(cls: HereditaryClass, glued: ColoredGraph, budget: SearchBudget):
@@ -142,49 +202,10 @@ def _generic_pruner(cls: HereditaryClass, glued: ColoredGraph, budget: SearchBud
             # monotone rules stay violated in every completion once they fire
             # on the decided-present graph; conditional rules are only sound
             # when nothing is undecided
-            if host.undecided and r.constraint not in monotone:
+            if None in host.value and r.constraint not in monotone:
                 continue
             if r.check(lo, budget):
                 return True
-        return False
-
-    return prune
-
-
-def _unary_pruner(cls: HereditaryClass, glued: ColoredGraph, budget: SearchBudget):
-    """Fast pruner for the compiled colored classes.
-
-    The derived relations of the partially built witness never depend on
-    the undecided cross pairs (those join level-0 grid vertices to tile
-    vertices, which no coding chain passes through), so they are computed
-    once on the glued union; per node only the adjacency views change.
-    Returns None when the branch is dead at the root.
-    """
-    from .unary import _c7_scan, _c8_scan, _c9_scan, derive_relations
-
-    tiles = cls.meta.get("tiles", 1)
-    rules = [("h", l, k) for (l, k) in cls.meta.get("h", ())]
-    rules += [("v", l, k) for (l, k) in cls.meta.get("v", ())]
-    rel = derive_relations(glued, tiles, budget)
-    # relation-monotone constraints are constant along the search: check once
-    for r in cls.rules:
-        if r.constraint in ("c1", "c2", "c3", "c4", "c5", "c6", "grid-edge"):
-            if r.check(glued, budget):
-                return None
-
-    def prune(host: _PartialHost) -> bool:
-        def has_edge(x, y):
-            return glued.has_edge(x, y) or frozenset((x, y)) in host.extra
-
-        def absent(x, y):
-            return host.definitely_absent(x, y)
-
-        if _c7_scan(glued, rel, rules, budget, has_edge):
-            return True
-        if _c8_scan(glued, rel, budget, has_edge, absent):
-            return True
-        if _c9_scan(glued, rel, tiles, budget, has_edge, absent):
-            return True
         return False
 
     return prune
@@ -204,72 +225,67 @@ def jep_witness_search(
 
     Candidates are built from all color-consistent identifications of
     a-vertices with b-vertices and all subsets of the undecided cross
-    pairs, pruned early against the class.  Hereditariness makes this
-    vertex universe exhaustive: any witness restricts to one of this form.
-    ``cross_pairs`` restricts the undecided pairs (callers must supply a
-    reduction argument); the default is every cross pair.
+    pairs.  Hereditariness makes this vertex universe exhaustive: any
+    witness restricts to one of this form.  ``cross_pairs`` restricts the
+    undecided pairs (callers must supply a reduction argument); the default
+    is every cross pair.
+
+    Per identification, an iterative DPLL loop (explicit trail and decision
+    stack) decides the pairs in the caller's order, absent first, and
+    backtracks chronologically.  A compiled unary class is grounded first
+    (``unary.ground_clauses``: c1..c6 once, c7..c9 as clauses) and unit
+    propagation runs after each decision; this is sound because the derived
+    relations are edge-monotone, so a falsified clause is a violation in
+    every completion.  Other classes run ``_generic_pruner`` instead.  A
+    full assignment is a witness only if ``cls.check`` passes it.  Budget:
+    one node per decision, flip and propagated assignment; grounding and the
+    leaf check spend their own.  ``explored`` counts decisions.
     """
     budget = budget or SearchBudget()
+    unary = cls.meta.get("stage") == "unary"
     explored = 0
     try:
-        matchings = (
-            _identification_matchings(a, b, budget) if identifications else [()]
-        )
-        for ident in matchings:
+        for ident in _identification_matchings(a, b, budget) if identifications else [()]:
             glued, inj_a, inj_b = _glue(a, b, ident)
             ident_a = {x for (x, _) in ident}
             ident_b = {y for (_, y) in ident}
             if cross_pairs is None:
-                free = [
-                    (inj_a[x], inj_b[y])
-                    for x in a.vertices
-                    if x not in ident_a
-                    for y in b.vertices
-                    if y not in ident_b
-                ]
-            else:
-                free = [
-                    (inj_a[x], inj_b[y])
-                    for (x, y) in cross_pairs
-                    if x not in ident_a and y not in ident_b
-                ]
-            host = _PartialHost(glued, {frozenset(p) for p in free})
-            if cross_pairs is None:
-                order = sorted(free, key=lambda p: (glued.index(p[0]), glued.index(p[1])))
-            else:
-                order = free  # caller-chosen order steers constraint forcing
-            if cls.meta.get("stage") == "unary":
-                prune = _unary_pruner(cls, glued, budget)
-                if prune is None:
-                    continue  # this identification already violates the class
-            else:
-                prune = _generic_pruner(cls, glued, budget)
-
-            def dfs(i) -> Optional[ColoredGraph]:
-                nonlocal explored
-                explored += 1
-                budget.spend()
-                if prune(host):
-                    return None
-                if i == len(order):
+                free = sorted(((inj_a[x], inj_b[y]) for x in a.vertices for y in b.vertices
+                               if x not in ident_a and y not in ident_b),
+                              key=lambda p: (glued.index(p[0]), glued.index(p[1])))
+            else:  # caller-chosen order steers constraint forcing
+                free = [(inj_a[x], inj_b[y]) for (x, y) in cross_pairs
+                        if x not in ident_a and y not in ident_b]
+            keys = [frozenset(p) for p in free]
+            clauses = ground_clauses(cls, glued, keys, budget) if unary else []
+            prune = (lambda host: False) if unary else _generic_pruner(cls, glued, budget)
+            host = _PartialHost(glued, keys, clauses)
+            ok = host.start(clauses, budget) and not prune(host)
+            stack: list = []  # (index, trail mark) of each decision still on its absent branch
+            pos = 0
+            while ok:
+                while pos < len(keys) and host.value[pos] is not None:
+                    pos += 1
+                if pos == len(keys):
                     cand = host.lo_graph()
-                    if cls.check(cand, budget=budget).ok:
-                        return cand
-                    return None
-                x, y = order[i]
-                key = frozenset((x, y))
-                host.undecided.discard(key)
-                res = dfs(i + 1)  # absent branch first: smaller witnesses first
-                if res is None:
-                    host.extra.add(key)
-                    res = dfs(i + 1)
-                    host.extra.discard(key)
-                host.undecided.add(key)
-                return res
-
-            witness = dfs(0)
-            if witness is not None:
-                return WitnessResult(FOUND, witness, explored=explored)
+                    report = cls.check(cand, budget=budget)
+                    if report.status == INDETERMINATE:
+                        raise BudgetExceededError("; ".join(report.notes))
+                    if report.ok:
+                        return WitnessResult(FOUND, cand, explored=explored)
+                    ok = False
+                else:
+                    explored += 1
+                    budget.spend()
+                    stack.append((pos, len(host.trail)))
+                    host.assign(-(pos + 1))  # absent first: smaller witnesses first
+                    ok = host.propagate(len(host.trail) - 1, budget) and not prune(host)
+                while not ok and stack:
+                    pos, mark = stack.pop()
+                    host.undo(mark)
+                    budget.spend()
+                    host.assign(pos + 1)
+                    ok = host.propagate(mark, budget) and not prune(host)
         return WitnessResult(NONE, explored=explored)
     except BudgetExceededError as exc:
         return WitnessResult(INDETERMINATE, note=str(exc), explored=explored)
@@ -277,13 +293,7 @@ def jep_witness_search(
 
 def _glue(a: ColoredGraph, b: ColoredGraph, ident: tuple) -> tuple:
     """Disjoint union with the listed identification pairs merged."""
-    from .core import free_join
-
-    if not ident:
-        g, ia, ib = disjoint_union(a, b)
-        return g, ia, ib
-    g, ia, ib = free_join(a, b, list(ident))
-    return g, ia, ib
+    return free_join(a, b, list(ident)) if ident else disjoint_union(a, b)
 
 
 # --------------------------------------------------------------------------
@@ -494,7 +504,8 @@ def run_no_experiment(
     when the cross-pair space is small enough, else reduced to grid-tile
     pairs), and the readout argument (any witness would read out an n x n
     patch, contradicting the bounded oracle).  The report records each path
-    that concluded.
+    that concluded.  Only a concluded witness search makes the status
+    ``success``; the argued readout alone leaves it ``indeterminate``.
     """
     rep = ExperimentReport("no", problem.describe(), "unary", n)
     t0 = time.perf_counter()
@@ -519,39 +530,22 @@ def run_no_experiment(
     rep.memberships["B"] = cls.check(b).status
     rep.timings["member_factors"] = time.perf_counter() - t0
 
-    searched = False
     t0 = time.perf_counter()
+    pairs = _grid_tile_cross_pairs(a, b)
+    spaces = [(f"reduced to {len(pairs)} grid-tile pairs", pairs, False, 60_000_000)]
     if len(a) + len(b) <= full_search_cap:
-        res = jep_witness_search(a, b, cls, budget=budget or SearchBudget(40_000_000))
-        if res.status == NONE:
-            rep.refutation_paths.append("witness-search (full space, exhaustive)")
-            searched = True
-        elif res.status == FOUND:
+        spaces.insert(0, ("full space", None, True, 40_000_000))
+    for label, cross, ident, limit in spaces:
+        res = jep_witness_search(a, b, cls, budget=budget or SearchBudget(limit),
+                                 cross_pairs=cross, identifications=ident)
+        if res.status == FOUND:
             rep.status = "failure"
-            rep.notes.append("a witness exists; refutation impossible")
+            rep.notes.append(f"a witness exists ({label}); refutation impossible")
             return rep
-        else:
-            rep.notes.append(f"full witness search inconclusive: {res.note}")
-    if not searched:
-        pairs = _grid_tile_cross_pairs(a, b)
-        res = jep_witness_search(
-            a,
-            b,
-            cls,
-            budget=budget or SearchBudget(60_000_000),
-            cross_pairs=pairs,
-            identifications=False,
-        )
         if res.status == NONE:
-            rep.refutation_paths.append(
-                f"witness-search (reduced to {len(pairs)} grid-tile pairs, exhaustive)"
-            )
-        elif res.status == FOUND:
-            rep.status = "failure"
-            rep.notes.append("a witness exists in the reduced space; refutation impossible")
-            return rep
-        else:
-            rep.notes.append(f"reduced witness search inconclusive: {res.note}")
+            rep.refutation_paths.append(f"witness-search ({label}, exhaustive)")
+            break
+        rep.notes.append(f"witness search ({label}) inconclusive: {res.note}")
     rep.timings["witness_search"] = time.perf_counter() - t0
 
     # readout argument: constraints force any witness to read out a valid
@@ -560,5 +554,9 @@ def run_no_experiment(
     if rep.memberships["A"] == PASS and rep.memberships["B"] == PASS and rep.oracle["bounded"] == "none":
         rep.refutation_paths.append("readout (witness would yield an n x n patch, oracle says none exists)")
 
-    rep.status = "success" if rep.refutation_paths else "indeterminate"
+    # only a concluded witness search is a computed refutation
+    computed = any(p.startswith("witness-search") for p in rep.refutation_paths)
+    rep.status = "success" if computed else "indeterminate"
+    if not computed and rep.refutation_paths:
+        rep.notes.append("only the readout argument concluded; no computed refutation")
     return rep

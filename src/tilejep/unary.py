@@ -924,9 +924,14 @@ def _chains_by_grid_and_len(rel: DerivedRelations) -> dict:
 def _c7_scan(g, rel, rules, budget, has_edge) -> list:
     """c7 core, parametric in the edge predicate.
 
-    The relations are edge-monotone, so running this over a subset of the
-    final edges only under-reports: any violation found survives in every
-    edge superset, which is what partial-assignment pruning needs.
+    The c7, c8 and c9 scans return ``(violation, present, absent)``
+    triples: the violation plus the host pairs it read as edges and as
+    non-edges.  The relations are edge-monotone, so running a scan over a
+    subset of the final edges only under-reports: any violation found
+    survives in every edge superset.  Run with "may be present" and "may be
+    absent" predicates instead, a scan enumerates every violation some
+    completion can have; the witness search grounds c7..c9 into clauses
+    over its undecided pairs that way.
     """
     if not rules or not rel.tau_triples:
         return []
@@ -949,10 +954,12 @@ def _c7_scan(g, rel, rules, budget, has_edge) -> list:
                         if t2 == t or not has_edge(w0["g2"], t2):
                             continue
                         if _joint_distinct(w0, w1, (*ch1, *ch2)):
-                            out.append(
+                            out.append((
                                 _vio("c7", f"sem:c7:{orient}:{l},{k}", g,
-                                     (w0["g"], w0["g2"], w1["g"], w1["g2"], t, t2))
-                            )
+                                     (w0["g"], w0["g2"], w1["g"], w1["g2"], t, t2)),
+                                ((w0["g"], t), (w0["g2"], t2)),
+                                (),
+                            ))
     return out
 
 
@@ -979,7 +986,8 @@ def _c8_scan(g, rel, budget, has_edge, absent) -> list:
                     if ok:
                         break
                 if ok:
-                    out.append(_vio("c8", "sem:c8", g, (gv, h, *chain)))
+                    out.append((_vio("c8", "sem:c8", g, (gv, h, *chain)), (),
+                                tuple((gv, t) for t in chain)))
     return out
 
 
@@ -1009,10 +1017,12 @@ def _c9_scan(g, rel, tiles, budget, has_edge, absent) -> list:
                             if not all(absent(w0["g2"], t) for t in fch):
                                 continue
                             if _joint_distinct(w0, w1, (*ch, *fch)):
-                                out.append(
+                                out.append((
                                     _vio("c9", f"sem:c9:{orient}", g,
-                                         (w0["g"], w0["g2"], w1["g"], w1["g2"], ch[-1]))
-                                )
+                                         (w0["g"], w0["g2"], w1["g"], w1["g2"], ch[-1])),
+                                    ((w0["g"], ch[-1]),),
+                                    tuple((w0["g2"], t) for t in fch),
+                                ))
     return out
 
 
@@ -1024,7 +1034,7 @@ def _rule_c7(problem: TilingProblem) -> SemanticRule:
         if not rules:
             return []
         rel = derive_relations(g, problem.tiles, budget)
-        return _c7_scan(g, rel, rules, budget, g.has_edge)
+        return [v for v, _, _ in _c7_scan(g, rel, rules, budget, g.has_edge)]
 
     return SemanticRule(
         "sem:c7", "c7",
@@ -1038,7 +1048,8 @@ def _rule_c7(problem: TilingProblem) -> SemanticRule:
 def _rule_c8(tiles: int) -> SemanticRule:
     def fn(g: ColoredGraph, budget: SearchBudget) -> list:
         rel = derive_relations(g, tiles, budget)
-        return _c8_scan(g, rel, budget, g.has_edge, lambda x, y: not g.has_edge(x, y))
+        found = _c8_scan(g, rel, budget, g.has_edge, lambda x, y: not g.has_edge(x, y))
+        return [v for v, _, _ in found]
 
     return SemanticRule("sem:c8", "c8", {"kind": "origin-must-tile", "tiles": tiles}, fn, decides=("c8",))
 
@@ -1046,13 +1057,56 @@ def _rule_c8(tiles: int) -> SemanticRule:
 def _rule_c9(problem: TilingProblem) -> SemanticRule:
     def fn(g: ColoredGraph, budget: SearchBudget) -> list:
         rel = derive_relations(g, problem.tiles, budget)
-        return _c9_scan(g, rel, problem.tiles, budget, g.has_edge,
-                        lambda x, y: not g.has_edge(x, y))
+        found = _c9_scan(g, rel, problem.tiles, budget, g.has_edge, lambda x, y: not g.has_edge(x, y))
+        return [v for v, _, _ in found]
 
     return SemanticRule(
         "sem:c9", "c9", {"kind": "tiling-propagation", "tiles": problem.tiles}, fn,
         decides=("c9",),
     )
+
+
+def ground_clauses(cls: HereditaryClass, glued: ColoredGraph, keys: list, budget: SearchBudget) -> list:
+    """c7, c8 and c9 of a compiled unary class as clauses over the
+    undecided pairs ``keys`` of ``glued``.
+
+    Literal ``i + 1`` says ``keys[i]`` is an edge, ``-(i + 1)`` that it is
+    not.  The rule scans run once, with "may be present" and "may be
+    absent" predicates, and each violation they report becomes one clause:
+    a pair it read as present gives a negative literal, one read as absent
+    a positive literal, and decided pairs, which hold as read, drop out.
+    The derived relations are computed on ``glued`` alone.  They are
+    edge-monotone, so a completion that falsifies a clause violates the
+    class.  In the reduced grid-tile space they read none of the undecided
+    pairs, so there the converse holds too and the clauses are exact.  The
+    relation-monotone c1..c6 are constant along the search and checked
+    once; a violation there is the empty clause.
+    """
+    for r in cls.rules:
+        if r.constraint in ("c1", "c2", "c3", "c4", "c5", "c6", "grid-edge") and r.check(glued, budget):
+            return [()]
+    var = {k: i + 1 for i, k in enumerate(keys)}
+    tiles = cls.meta.get("tiles", 1)
+    rules = [("h", l, k) for (l, k) in cls.meta.get("h", ())]
+    rules += [("v", l, k) for (l, k) in cls.meta.get("v", ())]
+    rel = derive_relations(glued, tiles, budget)
+
+    def may_present(x, y):
+        return glued.has_edge(x, y) or frozenset((x, y)) in var
+
+    def may_absent(x, y):
+        return not glued.has_edge(x, y)
+
+    found = _c7_scan(glued, rel, rules, budget, may_present)
+    found += _c8_scan(glued, rel, budget, may_present, may_absent)
+    found += _c9_scan(glued, rel, tiles, budget, may_present, may_absent)
+    clauses = set()
+    for _, present, absent in found:
+        lits = {-var.get(frozenset(p), 0) for p in present} | {var.get(frozenset(p), 0) for p in absent}
+        lits.discard(0)
+        clauses.add(tuple(sorted(lits)))
+    return sorted(clauses)
+
 
 # --------------------------------------------------------------------------
 # class compilation, joint embedding, readout

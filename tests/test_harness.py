@@ -1,9 +1,18 @@
 """Witness-bounded search and the YES/NO experiment drivers."""
 
-from tilejep.core import ColoredGraph, complete_graph
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tilejep.core import ColoredGraph, complete_graph, disjoint_union
 from tilejep.harness import (
     FOUND,
     NONE,
+    _grid_tile_cross_pairs,
     jep_witness_search,
     run_no_experiment,
     run_yes_experiment,
@@ -11,7 +20,7 @@ from tilejep.harness import (
 from tilejep.hereditary import HereditaryClass, INDETERMINATE
 from tilejep.matching import ConstraintPattern, SearchBudget, contains_induced
 from tilejep.tiling import PeriodicTiling, TilingProblem
-from tilejep.unary import canonical_A, canonical_B, compile_unary_class
+from tilejep.unary import canonical_A, canonical_B, compile_unary_class, ground_clauses
 
 EVERYTHING = HereditaryClass("everything", ())
 
@@ -165,3 +174,181 @@ def test_experiments_are_deterministic():
     n1 = run_no_experiment(hard, 2)
     n2 = run_no_experiment(hard, 2)
     assert (n1.status, n1.refutation_paths) == (n2.status, n2.refutation_paths)
+
+
+SPECS = {
+    "h11": TilingProblem(1, h_forbidden={(1, 1)}),
+    "three": TilingProblem(2, h_forbidden={(1, 1), (1, 2), (2, 2)}),
+    "checker": TilingProblem(2, h_forbidden={(1, 1), (2, 2)}, v_forbidden={(1, 1), (2, 2)}),
+}
+
+
+def test_no_experiment_readout_alone_is_indeterminate():
+    # three (no 3-wide row) at depth 3: a tiny budget stops the search, so
+    # only the argued readout concludes, which is not a computed refutation
+    t = SPECS["three"]
+    rep = run_no_experiment(t, 3, budget=SearchBudget(50))
+    assert rep.status == "indeterminate" and not rep.ok
+    assert len(rep.refutation_paths) == 1 and rep.refutation_paths[0].startswith("readout")
+    assert any("inconclusive" in n for n in rep.notes)
+    assert run_no_experiment(t, 3).status == "success"
+
+
+# -- the search loop: deep orders, grounding, determinism -------------------
+
+
+def test_reduced_search_with_more_pairs_than_the_recursion_limit():
+    # rule-free tiles 1 at d6: 1,296 grid-tile pairs, found without recursion
+    t = TilingProblem(1)
+    a, b = canonical_A(6, t), canonical_B(6, t)
+    pairs = _grid_tile_cross_pairs(a, b)
+    assert len(pairs) > sys.getrecursionlimit()
+    res = jep_witness_search(a, b, compile_unary_class(t), budget=SearchBudget(10**5),
+                             cross_pairs=pairs, identifications=False)
+    assert res.status == FOUND
+
+
+def test_generic_search_with_more_pairs_than_the_recursion_limit():
+    # the loop without clauses: 40 x 30 cross pairs, each decided absent
+    a, b = ColoredGraph(range(40)), ColoredGraph(range(30))
+    res = jep_witness_search(a, b, EVERYTHING, budget=SearchBudget(10**6), identifications=False)
+    assert res.status == FOUND and res.explored == 1200
+    assert len(res.witness) == 70 and not res.witness.edges
+
+
+def _reduced_space(name, depth):
+    t = SPECS[name]
+    a, b = canonical_A(depth, t), canonical_B(depth, t)
+    cls = compile_unary_class(t)
+    glued, ia, ib = disjoint_union(a, b)
+    keys = [frozenset((ia[x], ib[y])) for x, y in _grid_tile_cross_pairs(a, b)]
+    return a, b, cls, glued, keys, ground_clauses(cls, glued, keys, SearchBudget(10**8))
+
+
+def _clauses_hold(clauses, value):
+    return all(any((lit > 0) == value[abs(lit) - 1] for lit in c) for c in clauses)
+
+
+def _c7_c9_clean(cls, glued, keys, value):
+    g = glued.with_edges(tuple(k) for k, v in zip(keys, value) if v)
+    rules = [r for r in cls.rules if r.constraint in ("c7", "c8", "c9")]
+    assert [r.name for r in rules] == ["sem:c7", "sem:c8", "sem:c9"]
+    return not any(r.check(g, SearchBudget(10**8)) for r in rules)
+
+
+@pytest.mark.parametrize("name,depth", [("checker", 2), ("checker", 3), ("h11", 2), ("three", 2)])
+def test_grounded_clauses_agree_with_the_c7_c9_rules(name, depth, rng):
+    a, b, cls, glued, keys, clauses = _reduced_space(name, depth)
+    assert () not in clauses
+
+    def agree(assignments):
+        verdicts = set()
+        for value in assignments:
+            holds = _clauses_hold(clauses, value)
+            assert holds == _c7_c9_clean(cls, glued, keys, value)
+            verdicts.add(holds)
+        return verdicts
+
+    agree([[rng.random() < p for _ in keys] for p in (0.05, 0.2, 0.5) for _ in range(5)])
+    res = jep_witness_search(a, b, cls, budget=SearchBudget(10**5),
+                             cross_pairs=_grid_tile_cross_pairs(a, b), identifications=False)
+    assert res.status == (NONE if name == "h11" else FOUND)
+    if res.status == FOUND:
+        # the witness, every single flip of it, and a few triple flips
+        wit = [res.witness.has_edge(*k) for k in keys]
+        flips = [{i} for i in range(len(keys))] + [set(rng.sample(range(len(keys)), 3)) for _ in range(10)]
+        assert agree([wit] + [[v != (i in f) for i, v in enumerate(wit)] for f in flips]) == {False, True}
+
+
+@pytest.mark.parametrize("name,depth", [("checker", 3), ("h11", 3), ("three", 3)])
+def test_falsified_clause_iff_partial_scan_fires(name, depth, rng):
+    # on partial assignments the clause test matches the c7..c9 scans run
+    # with decided-present edges and definite absence, as a pruner would
+    from tilejep.unary import _c7_scan, _c8_scan, _c9_scan, derive_relations
+
+    _, _, cls, glued, keys, clauses = _reduced_space(name, depth)
+    t = SPECS[name]
+    rules = [("h", l, k) for (l, k) in sorted(t.h_forbidden)] + [("v", l, k) for (l, k) in sorted(t.v_forbidden)]
+    budget = SearchBudget(10**8)
+    rel = derive_relations(glued, t.tiles, budget)
+    outcomes = set()
+    for _ in range(60):
+        cut = rng.randrange(len(keys) + 1)
+        value = [rng.random() < 0.3 if i < cut else None for i in range(len(keys))]
+        state = dict(zip(keys, value))
+
+        def present(x, y):
+            return glued.has_edge(x, y) or state.get(frozenset((x, y))) is True
+
+        def absent(x, y):
+            return not glued.has_edge(x, y) and state.get(frozenset((x, y)), False) is False
+
+        fires = bool(_c7_scan(glued, rel, rules, budget, present)
+                     or _c8_scan(glued, rel, budget, present, absent)
+                     or _c9_scan(glued, rel, t.tiles, budget, present, absent))
+        falsified = any(all(value[abs(lit) - 1] == (lit < 0) for lit in c) for c in clauses)
+        assert fires == falsified
+        outcomes.add(fires)
+    assert outcomes == {False, True}
+
+
+def _brute_force_satisfiable(clauses):
+    """Every assignment of the clause variables at once: bit j of the truth
+    table of variable v is bit v's position of j, and the clauses are ANDed
+    over all 2^k assignments as big-integer bit vectors."""
+    used = sorted({abs(lit) for c in clauses for lit in c})
+    size = 1 << len(used)
+    full = (1 << size) - 1
+    table = {}
+    for pos, v in enumerate(used):
+        period = 1 << pos
+        mask = ((1 << period) - 1) << period
+        width = 2 * period
+        while width < size:
+            mask |= mask << width
+            width *= 2
+        table[v] = mask
+    sat = full
+    for c in clauses:
+        sat &= functools.reduce(
+            lambda acc, lit: acc | (table[lit] if lit > 0 else full ^ table[-lit]), c, 0)
+    return sat != 0
+
+
+@pytest.mark.parametrize("name,answer", [("h11", NONE), ("three", FOUND)])
+def test_search_verdict_matches_brute_force_over_the_clauses(name, answer):
+    # variables in no clause are free either way, so enumerating the others suffices
+    a, b, cls, _, _, clauses = _reduced_space(name, 2)
+    assert _brute_force_satisfiable(clauses) == (answer == FOUND)
+    res = jep_witness_search(a, b, cls, budget=SearchBudget(10**5),
+                             cross_pairs=_grid_tile_cross_pairs(a, b), identifications=False)
+    assert res.status == answer
+
+
+SEARCH_COUNT_SCRIPT = """
+from tilejep.harness import _grid_tile_cross_pairs, jep_witness_search
+from tilejep.matching import SearchBudget
+from tilejep.tiling import TilingProblem
+from tilejep.unary import canonical_A, canonical_B, compile_unary_class
+
+for t in (TilingProblem(2, h_forbidden={(1, 1), (1, 2), (2, 2)}),
+          TilingProblem(2, h_forbidden={(1, 1), (2, 2)}, v_forbidden={(1, 1), (2, 2)})):
+    a, b = canonical_A(3, t), canonical_B(3, t)
+    budget = SearchBudget(10**5)
+    res = jep_witness_search(a, b, compile_unary_class(t), budget=budget,
+                             cross_pairs=_grid_tile_cross_pairs(a, b), identifications=False)
+    print(res.status, budget.used, res.explored)
+"""
+
+
+def test_search_node_counts_do_not_depend_on_the_hash_seed():
+    # three d3 is refuted and checker d3 found under every seed, in the same counts
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    counts = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", SEARCH_COUNT_SCRIPT], env=env, check=True,
+                             capture_output=True, text=True, timeout=300).stdout
+        counts.add(tuple(out.split()))
+    assert counts == {("none", "397", "1", "found", "746", "145")}, counts
