@@ -1,8 +1,14 @@
-"""Finite colored graphs and the structural operations everything else builds on.
+"""Finite colored graphs, the structural operations everything else builds
+on, and the one backtracking core every exhaustive search runs on.
 
 A ColoredGraph is a finite simple graph whose vertices carry a (possibly
 empty) set of color ids.  Values are immutable after construction and every
 operation here is a pure function, so they are safe to share freely.
+
+``backtrack`` walks its variables on an explicit stack of iterators, so no
+search recurses as deep as its input, and spends one ``SearchBudget`` node
+per value tried; running out raises ``BudgetExceededError`` instead of
+returning a partial answer.
 """
 
 from __future__ import annotations
@@ -10,10 +16,81 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import cached_property
 from itertools import combinations
-from typing import Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 VertexId = Hashable
 Pair = frozenset
+
+DEFAULT_BUDGET = 5_000_000
+
+
+class BudgetExceededError(RuntimeError):
+    """A search ran out of its node-expansion budget before finishing."""
+
+
+class SearchBudget:
+    """Mutable node-expansion counter shared across one logical search."""
+
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit: int = DEFAULT_BUDGET):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self, n: int = 1) -> None:
+        self.used += n
+        if self.used > self.limit:
+            raise BudgetExceededError(f"search budget exhausted ({self.limit} nodes)")
+
+    def remaining(self) -> int:
+        return max(0, self.limit - self.used)
+
+
+def backtrack(
+    n: int,
+    domain: Callable,
+    ok: Callable,
+    budget: SearchBudget,
+    injective: bool = False,
+) -> Iterator[list]:
+    """Depth-first search over assignments of variables ``0..n-1``.
+
+    ``domain(i, x)`` gives the values to try for variable ``i`` and
+    ``ok(i, v, x)`` tests value ``v`` for it; in both, ``x`` holds exactly
+    the values of variables ``0..i-1``.  With ``injective`` a value already
+    in ``x`` is skipped.  One ``budget.spend()`` per value tried, after the
+    injective skip and before ``ok``.  Yields the shared assignment list at
+    each full assignment, in domain order; callers copy what they keep and
+    stop early by leaving the loop.  Iterative: the depth is ``n``, not the
+    Python stack.
+    """
+    x: list = []
+    used: set = set()
+    if n == 0:
+        yield x
+        return
+    its = [iter(domain(0, x))]
+    while its:
+        i = len(x)
+        for v in its[-1]:
+            if injective and v in used:
+                continue
+            budget.spend()
+            if ok(i, v, x):
+                break
+        else:
+            its.pop()
+            if x:
+                used.discard(x.pop())
+            continue
+        x.append(v)
+        if i + 1 < n:
+            if injective:
+                used.add(v)
+            its.append(iter(domain(i + 1, x)))
+        else:
+            yield x
+            x.pop()
 
 
 def pair(u: VertexId, v: VertexId) -> frozenset:
@@ -119,7 +196,8 @@ class ColoredGraph:
         return [v for v in self._vertices if len(self.colors(v)) > 1]
 
     def induced(self, vs: Iterable[VertexId], name: str = "") -> "ColoredGraph":
-        keep = [v for v in self._vertices if v in set(vs)]
+        wanted = set(vs)
+        keep = [v for v in self._vertices if v in wanted]
         kept = set(keep)
         return ColoredGraph(
             keep,
@@ -326,41 +404,25 @@ def _iso_signature(g: ColoredGraph):
 
 
 def is_isomorphic(g: ColoredGraph, h: ColoredGraph) -> bool:
-    """Color-exact isomorphism test by backtracking (desk-scale graphs)."""
+    """Color-exact isomorphism test by backtracking (desk-scale graphs),
+    under a default ``SearchBudget``."""
     if _iso_signature(g) != _iso_signature(h):
         return False
-    hv = list(h.vertices)
     # order g's vertices to keep the partial map connected where possible
     order = _connected_order(g)
-    used: set = set()
-    assign: dict = {}
+    gn = {v: set(g.neighbors(v)) for v in order}
+    hn = {y: set(h.neighbors(y)) for y in h.vertices}
+    hv = h.vertices
 
-    def feasible(v, x):
-        if h.colors(x) != g.colors(v) or h.degree(x) != g.degree(v):
-            return False
-        for w in order[: len(assign)]:
-            if w in assign:
-                if g.has_edge(v, w) != h.has_edge(x, assign[w]):
-                    return False
-        return True
-
-    def extend(i):
-        if i == len(order):
-            return True
+    def ok(i, y, x):
         v = order[i]
-        for x in hv:
-            if x in used:
-                continue
-            if feasible(v, x):
-                assign[v] = x
-                used.add(x)
-                if extend(i + 1):
-                    return True
-                del assign[v]
-                used.discard(x)
-        return False
+        nv, ny = gn[v], hn[y]
+        if h.colors(y) != g.colors(v) or len(ny) != len(nv):
+            return False
+        return all((w in nv) == (z in ny) for w, z in zip(order, x))
 
-    return extend(0)
+    found = backtrack(len(order), lambda i, x: hv, ok, SearchBudget(), injective=True)
+    return next(found, None) is not None
 
 
 def _connected_order(g: ColoredGraph) -> list:
@@ -392,6 +454,37 @@ def dedupe_isomorphic(graphs: Iterable[ColoredGraph]) -> list:
         buckets[sig].append(g)
         reps.append(g)
     return reps
+
+
+def independent_partitions(items: Iterable, conflict: Callable, seeds: Iterable = ()) -> Iterator[list]:
+    """Partitions of ``seeds`` plus ``items`` into blocks free of conflicting
+    pairs, where each seed is a block of its own that never merges with
+    another.
+
+    Each item in turn joins an existing block, in creation order, or opens a
+    new one; partitions come in that depth-first order, each a list of
+    block tuples (seed members first, then items in input order).  Runs on
+    ``backtrack`` under a default ``SearchBudget``.
+    """
+    items = list(items)
+    seeds = [tuple(b) for b in seeds]
+    clash = [[j for j in range(i) if conflict(v, items[j])] for i, v in enumerate(items)]
+    barred = [{k for k, b in enumerate(seeds) if any(conflict(v, u) for u in b)} for v in items]
+
+    def domain(i, x):
+        # blocks so far, plus one new block
+        return range(max(len(seeds), max(x, default=-1) + 1) + 1)
+
+    def ok(i, k, x):
+        return k not in barred[i] and all(x[j] != k for j in clash[i])
+
+    for x in backtrack(len(items), domain, ok, SearchBudget()):
+        blocks = [list(b) for b in seeds]
+        for v, k in zip(items, x):
+            if k == len(blocks):
+                blocks.append([])
+            blocks[k].append(v)
+        yield [tuple(b) for b in blocks]
 
 
 # -- tiny generators used across tests and compilers -----------------------

@@ -17,9 +17,9 @@ import json
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .core import ColoredGraph, disjoint_union, free_join
+from .core import ColoredGraph, backtrack, disjoint_union, free_join
 from .hereditary import FAIL, INDETERMINATE, PASS, HereditaryClass
 from .matching import BudgetExceededError, SearchBudget, _match_engine
 from .tiling import (
@@ -54,43 +54,34 @@ class WitnessResult:
     explored: int = 0
 
 
-def _identification_matchings(a: ColoredGraph, b: ColoredGraph, budget: SearchBudget) -> list:
-    """All partial injective identifications of a-vertices with b-vertices.
+def _identification_matchings(a: ColoredGraph, b: ColoredGraph, budget: SearchBudget) -> Iterator[tuple]:
+    """All partial injective identifications of a-vertices with b-vertices,
+    generated lazily.
 
     A pair may be identified when the two vertices carry identical color
     sets; a set of identifications must induce identical structure on each
     side (edges between identified vertices must agree across the factors).
-    The empty identification comes first.
+    Each a-vertex first stays unidentified, then tries the b-vertices in
+    order, so the empty identification comes first.
     """
     av = list(a.vertices)
-    out: list = []
-    current: list = []
+    bv = list(b.vertices)
 
-    def compatible(x, y):
-        if a.colors(x) != b.colors(y):
-            return False
-        for (x2, y2) in current:
-            if a.has_edge(x, x2) != b.has_edge(y, y2):
-                return False
-        return True
+    def domain(i, x):
+        # -1 leaves a-vertex i unidentified; k >= 0 names bv[k]
+        used = set(x)
+        return [-1] + [k for k in range(len(bv)) if k not in used]
 
-    def rec(i):
-        budget.spend()
-        if i == len(av):
-            out.append(tuple(current))
-            return
-        x = av[i]
-        rec(i + 1)  # x stays unidentified; empty matching is emitted first
-        used = {y for (_, y) in current}
-        for y in b.vertices:
-            if y in used or not compatible(x, y):
-                continue
-            current.append((x, y))
-            rec(i + 1)
-            current.pop()
+    def ok(i, k, x):
+        if k < 0:
+            return True
+        u, y = av[i], bv[k]
+        return a.colors(u) == b.colors(y) and all(
+            a.has_edge(u, w) == b.has_edge(y, bv[j]) for w, j in zip(av, x) if j >= 0
+        )
 
-    rec(0)
-    return out
+    for x in backtrack(len(av), domain, ok, budget):
+        yield tuple((u, bv[k]) for u, k in zip(av, x) if k >= 0)
 
 
 class _PartialHost:

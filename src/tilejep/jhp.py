@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .core import ColoredGraph, complete_graph, dedupe_isomorphic, pair
+from .core import (
+    ColoredGraph,
+    backtrack,
+    complete_graph,
+    dedupe_isomorphic,
+    independent_partitions,
+    pair,
+)
 from .hereditary import (
     FAIL,
     INDETERMINATE,
@@ -41,6 +48,7 @@ from .matching import (
     BudgetExceededError,
     ConstraintPattern,
     SearchBudget,
+    _earlier,
     is_induced_embedding,
 )
 from .encoding import (
@@ -97,31 +105,6 @@ def augment(g: ColoredGraph) -> AugmentedModel:
 # --------------------------------------------------------------------------
 
 
-def _independent_partitions(g: ColoredGraph) -> list:
-    """All partitions of the vertex set into independent blocks."""
-    verts = list(g.vertices)
-    out: list = []
-    blocks: list = []
-
-    def rec(i):
-        if i == len(verts):
-            out.append([tuple(b) for b in blocks])
-            return
-        v = verts[i]
-        for b in blocks:
-            if any(g.has_edge(v, u) for u in b):
-                continue
-            b.append(v)
-            rec(i + 1)
-            b.pop()
-        blocks.append([v])
-        rec(i + 1)
-        blocks.pop()
-
-    rec(0)
-    return out
-
-
 def proper_hom_images(w: ColoredGraph, size_cap: int = 200_000, dedup: bool = True) -> list:
     """All proper homomorphic images of a small graph.
 
@@ -135,7 +118,7 @@ def proper_hom_images(w: ColoredGraph, size_cap: int = 200_000, dedup: bool = Tr
     """
     images = []
     count = 0
-    for part in _independent_partitions(w):
+    for part in independent_partitions(w.vertices, w.has_edge):
         rep = {}
         for b in part:
             for v in b:
@@ -330,37 +313,25 @@ def rigid_homomorphism_check(
     size_c = {v: scheme.wheel_size(next(iter(sc.colors(v)))) for v in sc.vertices}
 
     order = list(sa.vertices)
-    assign: dict = {}
-    bad: list = []
+    back = _earlier(order, sa.edges)
 
-    def extend(i) -> bool:
-        if i == len(order):
-            m = dict(assign)
-            if not is_induced_embedding(sa, sc, m) or any(
-                sa.colors(v) != sc.colors(m[v]) for v in sa.vertices
-            ):
-                bad.append(m)
-                return True
-            return False
-        v = order[i]
-        for x in sc.vertices:
-            budget.spend()
-            if size_c[x] > size_a[v]:
-                continue  # wheels only wrap downward
-            if any(w in assign and not sc.has_edge(x, assign[w]) for w in sa.neighbors(v)):
-                continue
-            assign[v] = x
-            if extend(i + 1):
-                return True
-            del assign[v]
-        return False
+    def ok(i, y, x):
+        # wheels only wrap downward
+        return size_c[y] <= size_a[order[i]] and all(sc.has_edge(y, x[j]) for j in back[i])
 
+    bad = None
     try:
-        found_bad = extend(0)
+        for x in backtrack(len(order), lambda i, x: sc.vertices, ok, budget):
+            m = dict(zip(order, x))
+            if not is_induced_embedding(sa, sc, m) or any(
+                sa.colors(v) != sc.colors(m[v]) for v in order
+            ):
+                bad = m
+                break
     except BudgetExceededError as exc:
         return CheckReport(INDETERMINATE, (), (str(exc),))
-    if found_bad:
-        wit = tuple(sc.sorted_vertices(set(bad[0].values())))
+    if bad is not None:
+        wit = tuple(sc.sorted_vertices(set(bad.values())))
         return CheckReport(FAIL, (Violation("rigidity", "non-embedding-homomorphism", wit),))
     return CheckReport(PASS)
 
@@ -451,36 +422,19 @@ def two_rel_contains(f: TwoRelStructure, s: TwoRelStructure, budget: SearchBudge
     sv = list(s.vertices)
     if len(fv) > len(sv):
         return False
-    assign: dict = {}
-    used: set = set()
 
-    def compatible(v, x):
-        for w, y in assign.items():
+    def ok(i, y, x):
+        v = fv[i]
+        for w, z in zip(fv, x):
             pf = pair(v, w)
-            ps = pair(x, y)
+            ps = pair(y, z)
             if (pf in f.epairs) != (ps in s.epairs):
                 return False
             if (pf in f.npairs) != (ps in s.npairs):
                 return False
         return True
 
-    def extend(i):
-        if i == len(fv):
-            return True
-        v = fv[i]
-        for x in sv:
-            budget.spend()
-            if x in used or not compatible(v, x):
-                continue
-            assign[v] = x
-            used.add(x)
-            if extend(i + 1):
-                return True
-            del assign[v]
-            used.discard(x)
-        return False
-
-    return extend(0)
+    return next(backtrack(len(fv), lambda i, x: sv, ok, budget, injective=True), None) is not None
 
 
 def two_rel_homomorphisms(
@@ -490,33 +444,20 @@ def two_rel_homomorphisms(
     budget = budget or SearchBudget()
     av = list(a.vertices)
     cv = list(c.vertices)
-    assign: dict = {}
-    out: list = []
 
-    def extend(i):
-        if i == len(av):
-            out.append(dict(assign))
-            return limit is not None and len(out) >= limit
+    def ok(i, y, x):
         v = av[i]
-        for x in cv:
-            budget.spend()
-            ok = True
-            for w, y in assign.items():
-                pf = pair(v, w) if v != w else None
-                if pf is None:
-                    continue
-                if pf in a.epairs and (x == y or pair(x, y) not in c.epairs):
-                    ok = False
-                    break
-                if pf in a.npairs and (x == y or pair(x, y) not in c.npairs):
-                    ok = False
-                    break
-            if ok:
-                assign[v] = x
-                if extend(i + 1):
-                    return True
-                del assign[v]
-        return False
+        for w, z in zip(av, x):
+            pf = pair(v, w)
+            if pf in a.epairs and (y == z or pair(y, z) not in c.epairs):
+                return False
+            if pf in a.npairs and (y == z or pair(y, z) not in c.npairs):
+                return False
+        return True
 
-    extend(0)
+    out: list = []
+    for x in backtrack(len(av), lambda i, x: cv, ok, budget):
+        out.append(dict(zip(av, x)))
+        if limit is not None and len(out) >= limit:
+            break
     return out

@@ -6,9 +6,12 @@ every forbidden pair to a non-edge.  Pairs that are neither required nor
 forbidden are unconstrained, which uniformly expresses "forbid as subgraph",
 "forbid induced" and conditional prohibitions in one representation.
 
-All searches are deterministic and budgeted: exceeding the node-expansion
-budget raises instead of silently returning a partial answer, so a "no
-match" verdict is always trustworthy.
+Every search here is a variable order plus a domain and a consistency test
+for ``core.backtrack``, the package's one backtracking core.  It is
+iterative, so input size never meets the recursion limit, and it spends one
+budget node per candidate value tried; exceeding the budget raises instead
+of silently returning a partial answer, so a "no match" verdict is always
+trustworthy.  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -17,35 +20,19 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional
 
-from .core import ColoredGraph, dedupe_isomorphic, pair
-
-DEFAULT_BUDGET = 5_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """A search ran out of its node-expansion budget before finishing."""
+# SearchBudget and BudgetExceededError are re-exported for callers of the matcher
+from .core import (
+    BudgetExceededError,
+    ColoredGraph,
+    SearchBudget,
+    backtrack,
+    dedupe_isomorphic,
+    pair,
+)
 
 
 class ExpansionCapError(ValueError):
     """Non-induced expansion refused: too many don't-care pairs."""
-
-
-class SearchBudget:
-    """Mutable node-expansion counter shared across one logical search."""
-
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: int = DEFAULT_BUDGET):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, n: int = 1) -> None:
-        self.used += n
-        if self.used > self.limit:
-            raise BudgetExceededError(f"search budget exhausted ({self.limit} nodes)")
-
-    def remaining(self) -> int:
-        return max(0, self.limit - self.used)
 
 
 @dataclass(frozen=True)
@@ -119,17 +106,32 @@ def _pattern_order(p: ConstraintPattern) -> list:
     g = p.pattern
     remaining = set(g.vertices)
     order = []
+    placed: set = set()
     # constraint weight: colored and high-degree vertices first
     def weight(v):
         return (len(g.colors(v)) > 0, g.degree(v), -g.index(v))
 
     while remaining:
-        frontier = [v for v in remaining if any(w in set(order) for w in g.neighbors(v))]
+        frontier = [v for v in remaining if any(w in placed for w in g.neighbors(v))]
         pool = frontier or list(remaining)
         v = max(pool, key=weight)
         order.append(v)
+        placed.add(v)
         remaining.discard(v)
     return order
+
+
+def _earlier(order: list, pairs: Iterable) -> list:
+    """Per position of ``order``: the earlier positions each pair links it
+    to, ascending."""
+    pos = {v: i for i, v in enumerate(order)}
+    back: list = [[] for _ in order]
+    for e in pairs:
+        i, j = sorted(pos[u] for u in e)
+        back[j].append(i)
+    for b in back:
+        b.sort()
+    return back
 
 
 def _match_engine(
@@ -143,7 +145,7 @@ def _match_engine(
     limit: Optional[int],
     neighbors_of: Optional[Callable] = None,
 ) -> list:
-    """Backtracking monomorphism search against an abstract host interface.
+    """Monomorphism search against an abstract host interface.
 
     ``has_edge`` answers required-edge queries; ``has_definite_nonedge``
     answers forbidden-pair queries.  Passing different views of the same
@@ -151,68 +153,31 @@ def _match_engine(
     """
     g = p.pattern
     order = _pattern_order(p)
-    n = len(order)
-    req = {v: [] for v in order}
-    forb = {v: [] for v in order}
-    pos = {v: i for i, v in enumerate(order)}
-    for e in g.edges:
-        u, v = tuple(e)
-        if pos[u] < pos[v]:
-            req[v].append(u)
-        else:
-            req[u].append(v)
-    for e in p.forbidden:
-        u, v = tuple(e)
-        if pos[u] < pos[v]:
-            forb[v].append(u)
-        else:
-            forb[u].append(v)
-    # edge-set iteration order follows the hash seed; plan order does not
-    for v in order:
-        req[v].sort(key=pos.__getitem__)
-        forb[v].sort(key=pos.__getitem__)
+    # sorted by plan position: edge-set iteration order follows the hash seed
+    req = _earlier(order, g.edges)
+    forb = _earlier(order, p.forbidden)
+    need = [g.colors(v) for v in order]
+    mindeg = [g.degree(v) for v in order]
 
-    assign: dict = {}
-    used: set = set()
-    found: list = []
-
-    def candidates(v):
-        need = g.colors(v)
-        mindeg = g.degree(v)
+    def domain(i, x):
         pool = host_vertices
-        if neighbors_of is not None and req[v]:
+        if neighbors_of is not None and req[i]:
             # a required edge into the matched part restricts candidates to
             # the smallest matched image's neighborhood, ties to the earliest
-            pool = min((neighbors_of(assign[w]) for w in req[v]), key=len)
-        for x in pool:
-            if x in used:
-                continue
-            if need and not need <= colors_of(x):
-                continue
-            if degree_of(x) < mindeg:
-                continue
-            yield x
+            pool = min((neighbors_of(x[j]) for j in req[i]), key=len)
+        c, d = need[i], mindeg[i]
+        return (y for y in pool if (not c or c <= colors_of(y)) and degree_of(y) >= d)
 
-    def extend(i) -> bool:
-        if i == n:
-            found.append(Embedding(dict(assign)))
-            return limit is not None and len(found) >= limit
-        v = order[i]
-        for x in candidates(v):
-            budget.spend()
-            ok = all(has_edge(x, assign[w]) for w in req[v])
-            if ok:
-                ok = all(has_definite_nonedge(x, assign[w]) for w in forb[v])
-            if ok:
-                assign[v] = x
-                used.add(x)
-                if extend(i + 1):
-                    return True
-                del assign[v]
-                used.discard(x)
-        return False
+    def ok(i, y, x):
+        return all(has_edge(y, x[j]) for j in req[i]) and all(
+            has_definite_nonedge(y, x[j]) for j in forb[i]
+        )
 
-    extend(0)
+    found: list = []
+    for x in backtrack(len(order), domain, ok, budget, injective=True):
+        found.append(Embedding(dict(zip(order, x))))
+        if limit is not None and len(found) >= limit:
+            break
     return found
 
 
@@ -285,31 +250,22 @@ def homomorphisms(
     """
     budget = budget or SearchBudget()
     order = _connected_hom_order(h)
-    gv = list(g.vertices)
-    assign: dict = {}
+    back = _earlier(order, h.edges)
+    need = [h.colors(v) for v in order]
+    gv = g.vertices
+    cover = set(gv)
+
+    def ok(i, y, x):
+        c = need[i]
+        return (not c or c <= g.colors(y)) and all(g.has_edge(y, x[j]) for j in back[i])
+
     out: list = []
-
-    def extend(i) -> bool:
-        if i == len(order):
-            if surjective_on and set(assign.values()) != set(gv):
-                return False
-            out.append(dict(assign))
-            return limit is not None and len(out) >= limit
-        v = order[i]
-        need = h.colors(v)
-        for x in gv:
-            budget.spend()
-            if need and not need <= g.colors(x):
-                continue
-            if any(w in assign and not g.has_edge(x, assign[w]) for w in h.neighbors(v)):
-                continue
-            assign[v] = x
-            if extend(i + 1):
-                return True
-            del assign[v]
-        return False
-
-    extend(0)
+    for x in backtrack(len(order), lambda i, x: gv, ok, budget):
+        if surjective_on and set(x) != cover:
+            continue
+        out.append(dict(zip(order, x)))
+        if limit is not None and len(out) >= limit:
+            break
     if limit is None:
         hv = list(h.vertices)
         out.sort(key=lambda m: tuple(g.index(m[v]) for v in hv))

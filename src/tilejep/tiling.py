@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .matching import SearchBudget
+from .core import SearchBudget, backtrack
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,22 @@ def check_patch(problem: TilingProblem, m: TilingMap) -> tuple:
     return (not bad, bad)
 
 
+def _fill(problem: TilingProblem, w: int, h: int, fits, budget: SearchBudget) -> Optional[dict]:
+    """First w x h table, row-major and tiles in ascending order, whose every
+    cell passes ``fits(x, y, t, tab)``; ``tab`` holds the cells before
+    (x, y) in row-major order.  None when there is none."""
+    tiles = range(1, problem.tiles + 1)
+
+    def ok(i, t, tab):
+        y, x = divmod(i, w)
+        return fits(x, y, t, tab)
+
+    tab = next(backtrack(w * h, lambda i, tab: tiles, ok, budget), None)
+    if tab is None:
+        return None
+    return {(i % w, i // w): t for i, t in enumerate(tab)}
+
+
 def solve_bounded(
     problem: TilingProblem,
     n: int,
@@ -154,35 +170,13 @@ def solve_bounded(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    budget = budget or SearchBudget()
-    cells: dict = {}
-    coords = [(x, y) for y in range(n) for x in range(n)]
 
-    def fits(x, y, t):
-        left = cells.get((x - 1, y))
-        if left is not None and not problem.h_ok(left, t):
-            return False
-        below = cells.get((x, y - 1))
-        if below is not None and not problem.v_ok(below, t):
-            return False
-        return True
+    def fits(x, y, t, tab):
+        # the left neighbor is the previous cell, the one below is n cells back
+        return (x == 0 or problem.h_ok(tab[-1], t)) and (y == 0 or problem.v_ok(tab[-n], t))
 
-    def extend(i) -> bool:
-        if i == len(coords):
-            return True
-        x, y = coords[i]
-        for t in range(1, problem.tiles + 1):
-            budget.spend()
-            if fits(x, y, t):
-                cells[(x, y)] = t
-                if extend(i + 1):
-                    return True
-                del cells[(x, y)]
-        return False
-
-    if extend(0):
-        return Patch(n, n, cells)
-    return None
+    cells = _fill(problem, n, n, fits, budget or SearchBudget())
+    return None if cells is None else Patch(n, n, cells)
 
 
 def solve_periodic(
@@ -205,41 +199,21 @@ def solve_periodic(
         key=lambda pq: (pq[0] * pq[1], pq[0], pq[1]),
     )
     for px, py in dims:
-        table: dict = {}
-        coords = [(x, y) for y in range(py) for x in range(px)]
 
-        def fits(x, y, t):
-            # px == 1 means every cell is its own horizontal neighbor; same for py
-            left = table.get((x - 1, y)) if x > 0 else (t if px == 1 else None)
-            if left is not None and not problem.h_ok(left, t):
-                return False
-            if x == px - 1 and px > 1:
-                wrap = table.get((0, y))
-                if wrap is not None and not problem.h_ok(t, wrap):
-                    return False
-            below = table.get((x, y - 1)) if y > 0 else (t if py == 1 else None)
-            if below is not None and not problem.v_ok(below, t):
-                return False
-            if y == py - 1 and py > 1:
-                wrap = table.get((x, 0))
-                if wrap is not None and not problem.v_ok(t, wrap):
-                    return False
-            return True
+        def fits(x, y, t, tab):
+            # period 1 makes a cell its own neighbor; the last cell of a row
+            # (column) also meets the first one across the wrap
+            left = t if px == 1 else tab[-1] if x else None
+            below = t if py == 1 else tab[-px] if y else None
+            return (
+                (left is None or problem.h_ok(left, t))
+                and (below is None or problem.v_ok(below, t))
+                and (px == 1 or x < px - 1 or problem.h_ok(t, tab[y * px]))
+                and (py == 1 or y < py - 1 or problem.v_ok(t, tab[x]))
+            )
 
-        def extend(i) -> bool:
-            if i == len(coords):
-                return True
-            x, y = coords[i]
-            for t in range(1, problem.tiles + 1):
-                budget.spend()
-                if fits(x, y, t):
-                    table[(x, y)] = t
-                    if extend(i + 1):
-                        return True
-                    del table[(x, y)]
-            return False
-
-        if extend(0):
+        table = _fill(problem, px, py, fits, budget)
+        if table is not None:
             rows = tuple(tuple(table[(x, y)] for x in range(px)) for y in range(py))
             cand = PeriodicTiling(px, py, rows)
             ok, _ = check_patch(problem, cand)

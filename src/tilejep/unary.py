@@ -27,7 +27,7 @@ from functools import partial
 from itertools import combinations, product
 from typing import Iterable
 
-from .core import ColoredGraph, disjoint_union, pair
+from .core import ColoredGraph, disjoint_union, independent_partitions, pair
 from .hereditary import HereditaryClass, PatternFamily, SemanticRule, Violation
 from .matching import ConstraintPattern, SearchBudget
 from .tiling import Patch, TilingMap, TilingProblem
@@ -143,21 +143,15 @@ def _compute_relations(g: ColoredGraph, tiles: int, budget: SearchBudget) -> Der
     tile_set = set(_colored(g, TILE))
     for h in _colored(g, GRID[1]):
         acc: list = []
-        prefix: list = []
-
-        def walk(v):
+        # preorder of the simple tile paths from h, one node per path
+        stack = [(t,) for t in reversed(g.neighbors(h)) if t in tile_set and t != h]
+        while stack:
             budget.spend()
-            prefix.append(v)
-            acc.append(tuple(prefix))
-            if len(prefix) < tiles:
-                for w in g.neighbors(v):
-                    if w in tile_set and w != h and w not in prefix:
-                        walk(w)
-            prefix.pop()
-
-        for t1 in g.neighbors(h):
-            if t1 in tile_set and t1 != h:
-                walk(t1)
+            ch = stack.pop()
+            acc.append(ch)
+            if len(ch) < tiles:
+                stack += [ch + (w,) for w in reversed(g.neighbors(ch[-1]))
+                          if w in tile_set and w != h and w not in ch]
         if acc:
             chains[h] = tuple(acc)
 
@@ -398,8 +392,8 @@ def _quotient_patterns(
     vacuous and dropped.
     """
     g = base.pattern
-    principals = [p for p in g.vertices if p in set(principals)]
     pset = set(principals)
+    principals = [p for p in g.vertices if p in pset]
     others = [v for v in g.vertices if v not in pset]
     cliqs = [frozenset(c) for c in cliques]
 
@@ -408,28 +402,8 @@ def _quotient_patterns(
             return True
         return any(u in c and v in c for c in cliqs)
 
-    partitions: list = []
-    blocks: list = [[p] for p in principals]
-
-    def rec(i):
-        if i == len(others):
-            partitions.append([tuple(b) for b in blocks])
-            return
-        v = others[i]
-        for b in blocks:
-            if any(conflict(v, u) for u in b):
-                continue
-            b.append(v)
-            rec(i + 1)
-            b.pop()
-        blocks.append([v])
-        rec(i + 1)
-        blocks.pop()
-
-    rec(0)
-
     out = []
-    for idx, part in enumerate(partitions):
+    for idx, part in enumerate(independent_partitions(others, conflict, [[p] for p in principals])):
         identity = all(len(b) == 1 for b in part)
         rep: dict = {}
         for block in part:

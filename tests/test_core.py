@@ -1,4 +1,10 @@
-"""Core graph type, block decomposition, unions and joins."""
+"""Core graph type, block decomposition, unions and joins, isomorphism,
+and the one backtracking core."""
+
+import ast
+import random
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,3 +156,78 @@ def test_isomorphism_respects_colors():
 def test_dedupe_isomorphic():
     gs = [path_graph(3), cycle_graph(3), ColoredGraph([5, 6, 7], [(5, 6), (6, 7)])]
     assert len(dedupe_isomorphic(gs)) == 2
+
+
+def test_induced_accepts_one_shot_iterators():
+    g = path_graph(5)
+    assert g.induced(v for v in (1, 2, 3)).vertices == (1, 2, 3)
+    sub = g.induced(iter([0, 1, 2]))
+    assert sub.vertices == (0, 1, 2) and len(sub.edges) == 2
+
+
+def _iso_by_permutations(g, h):
+    if len(g) != len(h):
+        return False
+    gv = list(g.vertices)
+    for img in permutations(h.vertices):
+        m = dict(zip(gv, img))
+        if all(g.colors(v) == h.colors(m[v]) for v in gv) and all(
+            g.has_edge(u, v) == h.has_edge(m[u], m[v]) for i, u in enumerate(gv) for v in gv[i + 1:]
+        ):
+            return True
+    return False
+
+
+def test_is_isomorphic_agrees_with_all_permutations():
+    rng = random.Random(15)
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        g = ColoredGraph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4],
+                         {v: {rng.choice("ab")} for v in range(n) if rng.random() < 0.5})
+        # a relabelled copy, sometimes with one edge flipped or one color changed
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = {frozenset((perm[u], perm[v])) for u, v in map(tuple, g.edges)}
+        colors = {perm[v]: g.colors(v) for v in g.vertices if g.colors(v)}
+        r = rng.random()
+        if n >= 2 and r < 0.3:
+            edges ^= {frozenset(rng.sample(range(n), 2))}
+        elif n >= 1 and r < 0.5:
+            colors[rng.randrange(n)] = {"b"}
+        h = ColoredGraph(sorted(range(n), key=lambda v: rng.random()), map(tuple, edges), colors)
+        assert is_isomorphic(g, h) == _iso_by_permutations(g, h), (g.sorted_edges(), h.sorted_edges())
+    # two red vertices five or six steps apart on a 12-cycle: the colour
+    # refinement signature cannot tell the placements apart, the search must
+    c12 = [(i, (i + 1) % 12) for i in range(12)]
+    six = ColoredGraph(range(12), c12, {0: {"red"}, 6: {"red"}})
+    assert not is_isomorphic(six, ColoredGraph(range(12), c12, {0: {"red"}, 5: {"red"}}))
+    assert is_isomorphic(six, ColoredGraph(range(12), c12, {3: {"red"}, 9: {"red"}}))
+
+
+def test_is_isomorphic_deeper_than_the_recursion_limit():
+    assert is_isomorphic(path_graph(1100), path_graph(1100))
+
+
+def _self_calls(fn):
+    """Calls inside ``fn`` (nested functions included) to its own name, as a
+    plain name or as a method of self/cls."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == fn.name:
+                yield node.lineno
+            elif (isinstance(f, ast.Attribute) and f.attr == fn.name
+                  and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")):
+                yield node.lineno
+
+
+def test_no_function_in_the_package_calls_itself():
+    # searches run on core.backtrack; a recursive function would recurse as
+    # deep as its input and meet the interpreter's recursion limit
+    root = Path(__file__).resolve().parents[1] / "src" / "tilejep"
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{line} {fn.name}" for line in _self_calls(fn)]
+    assert found == []

@@ -216,6 +216,12 @@ def test_generic_search_with_more_pairs_than_the_recursion_limit():
     assert len(res.witness) == 70 and not res.witness.edges
 
 
+def test_identifications_deeper_than_the_recursion_limit():
+    # one a-vertex per level of the identification search, consumed lazily
+    res = jep_witness_search(ColoredGraph(range(1100)), ColoredGraph(["y"]), HereditaryClass("e", ()))
+    assert res.status == FOUND
+
+
 def _reduced_space(name, depth):
     t = SPECS[name]
     a, b = canonical_A(depth, t), canonical_B(depth, t)

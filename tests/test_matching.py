@@ -19,6 +19,7 @@ from tilejep.matching import (
 from tests.conftest import random_colored_graph
 
 import random
+from itertools import permutations, product
 
 
 def test_single_edge_on_triangle_has_six_embeddings():
@@ -234,3 +235,37 @@ def test_pattern_route_node_counts_do_not_depend_on_the_hash_seed():
                              capture_output=True, text=True, timeout=300).stdout
         counts.add(tuple(out.split()))
     assert len(counts) == 1, counts
+
+
+def _random_small(rng, n_max):
+    n = rng.randint(1, n_max)
+    return ColoredGraph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.45],
+                        {v: {rng.choice("ab")} for v in range(n) if rng.random() < 0.4})
+
+
+def test_match_pattern_and_homomorphisms_agree_with_brute_force():
+    # no limit: the same maps in the same order as itertools' lexicographic
+    # enumeration of host images
+    rng = random.Random(15)
+    for _ in range(150):
+        h, g = _random_small(rng, 4), _random_small(rng, 6)
+        hv = list(h.vertices)
+        nonedges = [(u, v) for i, u in enumerate(hv) for v in hv[i + 1:] if not h.has_edge(u, v)]
+        p = ConstraintPattern(h, [e for e in nonedges if rng.random() < 0.5])
+
+        def fits(m):
+            return all(h.colors(v) <= g.colors(m[v]) for v in hv) and all(
+                g.has_edge(*(m[u] for u in e)) for e in h.edges
+            )
+
+        want = [m for m in (dict(zip(hv, img)) for img in permutations(g.vertices, len(hv)))
+                if fits(m) and not any(g.has_edge(*(m[u] for u in e)) for e in p.forbidden)]
+        assert [m.map for m in match_pattern(p, g)] == want
+        homs = [m for m in (dict(zip(hv, img)) for img in product(g.vertices, repeat=len(hv))) if fits(m)]
+        assert homomorphisms(h, g) == homs
+        assert homomorphisms(h, g, surjective_on=True) == [m for m in homs if set(m.values()) == set(g.vertices)]
+
+
+def test_homomorphisms_deeper_than_the_recursion_limit():
+    (m,) = homomorphisms(path_graph(1100), complete_graph(2), limit=1)
+    assert is_hom(path_graph(1100), complete_graph(2), m)

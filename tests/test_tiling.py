@@ -1,5 +1,8 @@
 """Tiling problems, patch checking, and the two solvability oracles."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -109,3 +112,45 @@ def test_bounded_monotonicity(tiles, data):
 def test_patch_serialization_order():
     p = Patch(2, 2, {(0, 0): 1, (1, 0): 2, (0, 1): 2})
     assert p.rows() == [[1, 2], [2, None]]
+
+
+def _two_tile_specs():
+    cells = list(product((1, 2), repeat=2))
+    for hmask, vmask in product(range(16), repeat=2):
+        yield TilingProblem(2, {c for k, c in enumerate(cells) if hmask >> k & 1},
+                            {c for k, c in enumerate(cells) if vmask >> k & 1})
+
+
+def _least_periodic(t, max_period):
+    # period pairs in (area, px, py) order, tables lexicographically
+    dims = sorted(product(range(1, max_period + 1), repeat=2), key=lambda pq: (pq[0] * pq[1], pq[0], pq[1]))
+    return next((m for px, py in dims for tab in product(range(1, t.tiles + 1), repeat=px * py)
+                 for m in (PeriodicTiling(px, py, [tab[y * px:(y + 1) * px] for y in range(py)]),)
+                 if check_patch(t, m)[0]), None)
+
+
+def test_oracles_return_the_least_valid_colouring_on_every_two_tile_spec():
+    # reference: itertools over all row-major colourings, lexicographically
+    for t in _two_tile_specs():
+        for n in (2, 3):
+            want = next((Patch(n, n, {(i % n, i // n): c for i, c in enumerate(tab)})
+                         for tab in product((1, 2), repeat=n * n)
+                         if check_patch(t, Patch(n, n, {(i % n, i // n): c for i, c in enumerate(tab)}))[0]),
+                        None)
+            assert solve_bounded(t, n) == want, (t.describe(), n)
+        assert solve_periodic(t, 3) == _least_periodic(t, 3), t.describe()
+
+
+def test_periodic_oracle_returns_the_least_torus_table_on_three_tile_specs():
+    # with three tiles a table that ignores a wrap-around pair can be the
+    # first one found while a valid table of the same periods exists
+    rng = random.Random(15)
+    cells = list(product((1, 2, 3), repeat=2))
+    for _ in range(60):
+        t = TilingProblem(3, {c for c in cells if rng.random() < 0.4}, {c for c in cells if rng.random() < 0.4})
+        assert solve_periodic(t, 3) == _least_periodic(t, 3), t.describe()
+
+
+def test_bounded_oracle_deeper_than_the_recursion_limit():
+    patch = solve_bounded(TilingProblem(1), 40)
+    assert patch is not None and patch.is_total()

@@ -1,11 +1,14 @@
 """Stage-1 compiler and runtime: relations, canonical models, coordinates,
 constraint checking, the joint-embedding procedure, and the tiling readout."""
 
+import random
+from itertools import product
+
 import pytest
 
 from tilejep.core import ColoredGraph, disjoint_union
 from tilejep.hereditary import MembershipError
-from tilejep.matching import SearchBudget, match_pattern
+from tilejep.matching import ConstraintPattern, SearchBudget, match_pattern
 from tilejep.tiling import Patch, PeriodicTiling, TilingProblem, check_patch, solve_periodic
 from tilejep.unary import (
     AmbiguityError,
@@ -16,6 +19,7 @@ from tilejep.unary import (
     derive_relations,
     extract_tiling,
     joint_embed_unary,
+    _quotient_patterns,
 )
 from tests.conftest import random_colored_graph
 
@@ -323,3 +327,39 @@ def test_coordinates_never_ambiguous_on_members(rng):
     for n in (1, 2):
         joint = joint_embed_unary(canonical_A(n, t), canonical_B(n, t), theta, t, cls)
         coordinates(joint)  # must not raise
+
+
+def test_quotient_partitions_agree_with_brute_force():
+    # each vertex carries a color of its own, so the colors of a quotient
+    # vertex name its block; the reference enumerates block-index strings
+    # with itertools, whose lexicographic order is the search order
+    rng = random.Random(15)
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        g = ColoredGraph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3],
+                         {v: {f"c{v}"} for v in range(n)})
+        principals = [v for v in range(n) if rng.random() < 0.3]
+        cliques = [frozenset(rng.sample(range(n), 2))] if n >= 2 and rng.random() < 0.5 else []
+        others = [v for v in range(n) if v not in principals]
+        s = len(principals)
+
+        def conflict(u, v):
+            return g.has_edge(u, v) or any(u in c and v in c for c in cliques)
+
+        want = []
+        for code in product(range(s + len(others)), repeat=len(others)):
+            blocks = [[p] for p in principals]
+            for v, k in zip(others, code):
+                if k == len(blocks):
+                    blocks.append([])
+                if k >= len(blocks):
+                    break  # not a block-index string: k skips a block
+                blocks[k].append(v)
+            else:
+                if not any(conflict(u, v) for b in blocks for i, u in enumerate(b) for v in b[i + 1:]):
+                    want.append({frozenset(b) for b in blocks})
+        base = ConstraintPattern(g, name="base")
+        got = _quotient_patterns(base, principals, cliques)
+        assert [{frozenset(int(c[1:]) for c in q.pattern.colors(v)) for v in q.pattern.vertices}
+                for q in got] == want
+        assert [q.name for q in got] == ["base" if len(q) == n else f"base/q{i}" for i, q in enumerate(got)]
