@@ -21,7 +21,8 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional
 
 from .core import ColoredGraph, blocks, cycle_graph
-from .hereditary import HereditaryClass, MembershipError, PatternFamily, SemanticRule, Violation
+from .hereditary import (HereditaryClass, MembershipError, PatternFamily, SemanticRule, Violation,
+                         monotone_ground)
 from .matching import (
     ConstraintPattern,
     SearchBudget,
@@ -463,7 +464,7 @@ def _rule_grid_edge() -> SemanticRule:
         return out
 
     return SemanticRule("sem:grid-edge", "grid-edge", {"kind": "no-grid-grid-edge"}, fn,
-                        decides=("grid-edge",))
+                        decides=("grid-edge",), ground=monotone_ground(fn))
 
 
 def _wheel_shape_patterns(scheme: EncodingScheme) -> list:

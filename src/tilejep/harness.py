@@ -6,9 +6,11 @@ Everything here returns first-class verdicts: ``found`` / ``none`` /
 ``indeterminate`` for experiments.  Budget exhaustion is never folded into
 a definite answer.
 
-The witness search is one iterative DPLL loop over the undecided cross
-pairs; for unary classes it refutes c7..c9, grounded once into clauses, by
-unit propagation (see ``jep_witness_search`` for soundness and budget).
+The witness search has one path for every class: one iterative DPLL loop
+over the undecided cross pairs.  Per identification the class is grounded
+once into clauses (``ground_clauses``): every rule that declares a
+grounding, and every pattern of a family no rule decides.  Unit propagation
+refutes those clauses; the leaf ``check`` decides everything else.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .unary import (
     compile_unary_class,
     coordinates,
     extract_tiling,
-    ground_clauses,
     joint_embed_unary,
 )
 
@@ -84,45 +85,77 @@ def _identification_matchings(a: ColoredGraph, b: ColoredGraph, budget: SearchBu
         yield tuple((u, bv[k]) for u, k in zip(av, x) if k >= 0)
 
 
-class _PartialHost:
-    """A partial assignment of the undecided pairs and its decided-edge views.
+def ground_clauses(cls: HereditaryClass, glued: ColoredGraph, keys: list, budget: SearchBudget) -> list:
+    """The prohibitions of ``cls`` as clauses over the undecided pairs
+    ``keys`` of ``glued``; literal ``i + 1`` says ``keys[i]`` is an edge,
+    ``-(i + 1)`` that it is not.
 
-    ``value[i]`` is None, True (edge) or False (non-edge) for ``keys[i]``
+    Two sources each run once: every rule that declares ``ground``, given
+    "may be present" and "may be absent" predicates, and every pattern of a
+    family no rule decides (as ``check`` selects them), matched on the
+    upper graph, ``glued`` plus every undecided pair, with forbidden pairs
+    tested against "may be absent".  Each violation or match is one clause:
+    a pair read as present gives a negative literal, one read as absent a
+    positive literal, and decided pairs, which hold as read, drop out.  A
+    completion that falsifies a clause violates the class, so pruning loses
+    no witness; a pattern clause is falsified exactly by the completions
+    holding its match.  An empty clause ends the grounding.
+    """
+    var = {k: i + 1 for i, k in enumerate(keys)}
+
+    def may_present(x, y):
+        return glued.has_edge(x, y) or frozenset((x, y)) in var
+
+    def may_absent(x, y):
+        return not glued.has_edge(x, y)
+
+    def reads():
+        for r in cls.rules:
+            if r.ground is not None:
+                yield from r.ground(glued, may_present, may_absent, budget)
+        patterns = cls.host_patterns(cls._pattern_routed, glued)
+        if patterns:
+            upper = glued.with_edges(keys)
+            for p in patterns:
+                for m in _match_engine(p, upper.vertices, upper.colors, upper.degree, upper.has_edge,
+                                       may_absent, budget, None, upper.neighbors):
+                    yield ([tuple(map(m.map.get, e)) for e in p.pattern.edges],
+                           [tuple(map(m.map.get, e)) for e in p.forbidden])
+
+    clauses = set()
+    for present, absent in reads():
+        lits = {-var.get(frozenset(p), 0) for p in present} | {var.get(frozenset(p), 0) for p in absent}
+        lits.discard(0)
+        if not lits:
+            return [()]
+        clauses.add(tuple(sorted(lits)))
+    return sorted(clauses)
+
+
+class _PartialHost:
+    """A partial assignment of the undecided pairs.
+
+    ``value[i]`` is None, True (edge) or False (non-edge) for pair ``i``
     (literal ``i + 1`` / ``-(i + 1)``), and ``trail`` lists the assigned
-    indices in order, so backtracking undoes a suffix.  ``extra`` holds the
-    decided-present pairs.
+    indices in order, so backtracking undoes a suffix.
     """
 
-    def __init__(self, base: ColoredGraph, keys: list, clauses: list):
-        self.base = base
-        self.keys = keys
-        self.value: list = [None] * len(keys)
+    def __init__(self, size: int, clauses: list):
+        self.value: list = [None] * size
         self.trail: list = []
-        self.index = {k: i for i, k in enumerate(keys)}
-        self.extra: set = set()
         self.occurs = defaultdict(list)
         for c in clauses:
             for lit in c:
                 self.occurs[lit].append(c)
 
-    def lo_graph(self) -> ColoredGraph:
-        return self.base.with_edges(tuple(e) for e in self.extra)
-
-    def definitely_absent(self, x, y) -> bool:
-        i = self.index.get(frozenset((x, y)))
-        return not self.base.has_edge(x, y) if i is None else self.value[i] is False
-
     def assign(self, lit: int) -> None:
         i = abs(lit) - 1
         self.value[i] = lit > 0
         self.trail.append(i)
-        if lit > 0:
-            self.extra.add(self.keys[i])
 
     def undo(self, mark: int) -> None:
         for i in self.trail[mark:]:
             self.value[i] = None
-            self.extra.discard(self.keys[i])
         del self.trail[mark:]
 
     def start(self, clauses: list, budget: SearchBudget) -> bool:
@@ -137,9 +170,10 @@ class _PartialHost:
 
     def propagate(self, head: int, budget: SearchBudget) -> bool:
         """Unit propagation of ``trail[head:]``; False once a clause is
-        falsified.  Clauses hold at most tiles + 1 literals, so every clause
-        an assignment falsifies a literal of is rescanned whole instead of
-        through two watched literals."""
+        falsified.  Every clause an assignment falsifies a literal of is
+        rescanned whole, not through two watched literals: rule clauses
+        hold at most tiles + 1 literals, and a pattern clause at most one
+        per pattern pair."""
         value = self.value
         while head < len(self.trail):
             i = self.trail[head]
@@ -162,46 +196,6 @@ class _PartialHost:
         return True
 
 
-def _generic_pruner(cls: HereditaryClass, glued: ColoredGraph, budget: SearchBudget):
-    """Definite-violation test for arbitrary classes: patterns matched with
-    required edges against the decided-present view and forbidden pairs
-    against definite absence, plus the monotone semantic rules."""
-    monotone = {"c1", "c2", "c3", "c4", "c5", "c6", "c7", "grid-edge"}
-
-    def prune(host: _PartialHost) -> bool:
-        lo = host.lo_graph()
-        host_multicolor = bool(lo.multicolored_vertices())
-        for p in cls.patterns:
-            if len(p) > len(lo):
-                continue
-            if p.multicolored and not host_multicolor:
-                continue
-            res = _match_engine(
-                p,
-                lo.vertices,
-                lo.colors,
-                lo.degree,
-                lo.has_edge,
-                host.definitely_absent,
-                budget,
-                limit=1,
-                neighbors_of=lo.neighbors,
-            )
-            if res:
-                return True
-        for r in cls.rules:
-            # monotone rules stay violated in every completion once they fire
-            # on the decided-present graph; conditional rules are only sound
-            # when nothing is undecided
-            if None in host.value and r.constraint not in monotone:
-                continue
-            if r.check(lo, budget):
-                return True
-        return False
-
-    return prune
-
-
 def jep_witness_search(
     a: ColoredGraph,
     b: ColoredGraph,
@@ -221,19 +215,19 @@ def jep_witness_search(
     undecided pairs (callers must supply a reduction argument); the default
     is every cross pair.
 
-    Per identification, an iterative DPLL loop (explicit trail and decision
-    stack) decides the pairs in the caller's order, absent first, and
-    backtracks chronologically.  A compiled unary class is grounded first
-    (``unary.ground_clauses``: c1..c6 once, c7..c9 as clauses) and unit
-    propagation runs after each decision; this is sound because the derived
-    relations are edge-monotone, so a falsified clause is a violation in
-    every completion.  Other classes run ``_generic_pruner`` instead.  A
-    full assignment is a witness only if ``cls.check`` passes it.  Budget:
-    one node per decision, flip and propagated assignment; grounding and the
-    leaf check spend their own.  ``explored`` counts decisions.
+    Every class takes one path.  Per identification the class is grounded
+    once (``ground_clauses``: the rules that declare a grounding, and the
+    patterns of the families no rule decides), then an iterative DPLL loop
+    (explicit trail and decision stack) decides the pairs in the caller's
+    order, absent first, runs unit propagation after each decision, and
+    backtracks chronologically.  A falsified clause is a violation in every
+    completion, so no witness is lost.  A full assignment is a witness only
+    if ``cls.check`` passes it; the leaf check is authoritative and alone
+    decides the rules that declare no grounding.  Budget: one node per
+    decision, flip and propagated assignment; grounding and the leaf check
+    spend their own.  ``explored`` counts decisions.
     """
     budget = budget or SearchBudget()
-    unary = cls.meta.get("stage") == "unary"
     explored = 0
     try:
         for ident in _identification_matchings(a, b, budget) if identifications else [()]:
@@ -248,17 +242,16 @@ def jep_witness_search(
                 free = [(inj_a[x], inj_b[y]) for (x, y) in cross_pairs
                         if x not in ident_a and y not in ident_b]
             keys = [frozenset(p) for p in free]
-            clauses = ground_clauses(cls, glued, keys, budget) if unary else []
-            prune = (lambda host: False) if unary else _generic_pruner(cls, glued, budget)
-            host = _PartialHost(glued, keys, clauses)
-            ok = host.start(clauses, budget) and not prune(host)
+            clauses = ground_clauses(cls, glued, keys, budget)
+            host = _PartialHost(len(keys), clauses)
+            ok = host.start(clauses, budget)
             stack: list = []  # (index, trail mark) of each decision still on its absent branch
             pos = 0
             while ok:
                 while pos < len(keys) and host.value[pos] is not None:
                     pos += 1
                 if pos == len(keys):
-                    cand = host.lo_graph()
+                    cand = glued.with_edges(k for k, v in zip(keys, host.value) if v)
                     report = cls.check(cand, budget=budget)
                     if report.status == INDETERMINATE:
                         raise BudgetExceededError("; ".join(report.notes))
@@ -270,13 +263,13 @@ def jep_witness_search(
                     budget.spend()
                     stack.append((pos, len(host.trail)))
                     host.assign(-(pos + 1))  # absent first: smaller witnesses first
-                    ok = host.propagate(len(host.trail) - 1, budget) and not prune(host)
+                    ok = host.propagate(len(host.trail) - 1, budget)
                 while not ok and stack:
                     pos, mark = stack.pop()
                     host.undo(mark)
                     budget.spend()
                     host.assign(pos + 1)
-                    ok = host.propagate(mark, budget) and not prune(host)
+                    ok = host.propagate(mark, budget)
         return WitnessResult(NONE, explored=explored)
     except BudgetExceededError as exc:
         return WitnessResult(INDETERMINATE, note=str(exc), explored=explored)

@@ -13,19 +13,23 @@ cross-check the test suite runs against each other.
 
 Classes are rules-first.  Patterns come in ``PatternFamily`` declarations,
 each with its tag, built and cached only when something reads them: the
-pattern route, tags no rule decides, bundle writing, and the pattern
-consumers (``subset(...).patterns``, the generic witness pruner, the
-edge/non-edge transform).  Every compiled class has a rule for each tag, so
-neither its compile nor its default ``check`` builds a pattern.  One key,
-``pattern_tag``, names a pattern's tag in the route table, in ``subset``
-and in ``constraint_groups``.
+pattern route, tags no rule decides (in ``check`` and in the witness
+search's grounding), bundle writing, and the pattern consumers
+(``subset(...).patterns``, the edge/non-edge transform).  Every compiled
+class has a rule for each tag, so neither its compile nor its default
+``check`` builds a pattern.  One key, ``pattern_tag``, names a pattern's tag
+in the route table, in ``subset`` and in ``constraint_groups``.
+
+A rule may also declare how the witness search grounds it into clauses
+(``SemanticRule.ground``); a rule that declares nothing is decided only by
+the search's leaf ``check``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from .core import ColoredGraph
 from .matching import BudgetExceededError, ConstraintPattern, SearchBudget, match_pattern
@@ -85,6 +89,13 @@ class SemanticRule:
     this rule is authoritative for; an entry ending in ``*`` covers every
     tag with that prefix.  A rule that decides no tag only adds its own
     violations.
+
+    ``ground``, if declared, maps ``(g, may_present, may_absent, budget)``
+    to one ``(present_pairs, absent_pairs)`` entry per violation that some
+    completion of ``g`` could have: the host pairs the violation reads as
+    edges and as non-edges, under the two predicates on the undecided pairs.
+    Every completion holding those reads must violate the class; the
+    witness search turns each entry into a clause.
     """
 
     name: str
@@ -92,12 +103,31 @@ class SemanticRule:
     descriptor: dict
     fn: Callable[[ColoredGraph, SearchBudget], list]
     decides: tuple = ()
+    ground: Optional[Callable] = None
 
     def check(self, g: ColoredGraph, budget: SearchBudget) -> list:
         return self.fn(g, budget)
 
     def decides_tag(self, tag: str) -> bool:
         return any(tag == d or (d.endswith("*") and tag.startswith(d[:-1])) for d in self.decides)
+
+
+def monotone_ground(fn: Callable[[ColoredGraph, SearchBudget], list]) -> Callable:
+    """The grounding of an edge-monotone rule that reads no undecided pair:
+    a violation on the decided graph survives in every completion, so each
+    becomes the empty clause."""
+
+    def ground(g, may_present, may_absent, budget):
+        return [((), ()) for _ in fn(g, budget)]
+
+    return ground
+
+
+def _kept_violations(fn: Callable, keep: set) -> Callable:
+    def kept(g: ColoredGraph, budget: SearchBudget) -> list:
+        return [v for v in fn(g, budget) if v.constraint in keep]
+
+    return kept
 
 
 def pattern_tag(p: ConstraintPattern) -> str:
@@ -165,15 +195,41 @@ class HereditaryClass:
 
     def subset(self, constraints: Iterable[str], name: str = "") -> "HereditaryClass":
         """The families with a tag and the rules with a constraint in
-        ``constraints``; families are shared, so nothing is built."""
+        ``constraints``, plus every other rule that decides a kept tag.
+        Such a rule reports only the violations of kept tags and loses its
+        grounding, whose entries carry no tag.  Families are shared, so
+        nothing is built."""
         keep = set(constraints)
+        rules = tuple(
+            r if r.constraint in keep else replace(r, fn=_kept_violations(r.fn, keep), ground=None)
+            for r in self.rules
+            if r.constraint in keep or any(map(r.decides_tag, keep))
+        )
         return HereditaryClass(
             name=name or f"{self.name}|{','.join(sorted(keep))}",
             palette=self.palette,
             patterns=tuple(f for f in self.families if f.tag in keep),
-            rules=tuple(r for r in self.rules if r.constraint in keep),
+            rules=rules,
             meta=dict(self.meta),
         )
+
+    def host_patterns(self, families: Iterable[PatternFamily], g: ColoredGraph) -> list:
+        """The patterns of ``families`` that ``check`` matches on ``g``: not
+        those larger than ``g``, nor those that need a multicolored vertex
+        when ``g`` has none, nor, above ``meta['pattern_host_cap']``
+        vertices, the wedged and guard patterns, which the pure stage's
+        rules decide.  Edges play no part, so every completion of ``g``
+        gets the same list."""
+        patterns = [p for f in families for p in f.patterns if len(p) <= len(g)]
+        host_cap = self.meta.get("pattern_host_cap")
+        if host_cap is not None and len(g) > host_cap:
+            # direct matching of the wedged and guard patterns is reserved
+            # for hosts small enough to afford it
+            patterns = [p for p in patterns
+                        if not (p.constraint.startswith("w:") or p.constraint in ("H1", "H2"))]
+        if any(p.multicolored for p in patterns) and not g.multicolored_vertices():
+            patterns = [p for p in patterns if not p.multicolored]
+        return patterns
 
     def check(
         self,
@@ -195,11 +251,9 @@ class HereditaryClass:
 
         Budget exhaustion yields an indeterminate verdict, never a pass.
         Violations are merged in deterministic (constraint, source, witness)
-        order.  Hosts with no multicolored vertex skip patterns that require
-        one, since those cannot match; hosts above ``meta['pattern_host_cap']``
-        skip the wedged and guard patterns, which the pure stage's rules
-        decide.  Definite default-route verdicts without an explicit budget
-        are cached on the (immutable) graph per class object and witness cap.
+        order.  Patterns are matched as ``host_patterns`` selects them.
+        Definite default-route verdicts without an explicit budget are
+        cached on the (immutable) graph per class object and witness cap.
         """
         cache_ok = budget is None and use_patterns and use_rules
         memo = g.__dict__.setdefault("_membership_memo", {})
@@ -210,24 +264,9 @@ class HereditaryClass:
         budget = budget or SearchBudget(80_000_000)
         violations: list = []
         notes: list = []
-        host_multicolor = bool(g.multicolored_vertices())
-        host_cap = self.meta.get("pattern_host_cap")
         families = (self._pattern_routed if use_rules else self.families) if use_patterns else ()
-        patterns = [p for f in families for p in f.patterns]
         try:
-            for p in patterns:
-                if p.multicolored and not host_multicolor:
-                    continue
-                if len(p) > len(g):
-                    continue
-                if (
-                    host_cap is not None
-                    and len(g) > host_cap
-                    and (p.constraint.startswith("w:") or p.constraint in ("H1", "H2"))
-                ):
-                    # direct matching of the wedged and guard patterns is
-                    # reserved for hosts small enough to afford it
-                    continue
+            for p in self.host_patterns(families, g):
                 found = match_pattern(p, g, budget=budget, limit=max_witnesses_per_pattern)
                 for m in found:
                     wit = tuple(g.sorted_vertices(m.map.values()))

@@ -28,7 +28,7 @@ from itertools import combinations, product
 from typing import Iterable
 
 from .core import ColoredGraph, disjoint_union, independent_partitions, pair
-from .hereditary import HereditaryClass, PatternFamily, SemanticRule, Violation
+from .hereditary import HereditaryClass, PatternFamily, SemanticRule, Violation, monotone_ground
 from .matching import ConstraintPattern, SearchBudget
 from .tiling import Patch, TilingMap, TilingProblem
 
@@ -702,7 +702,8 @@ def _rule_c1(palette: tuple) -> SemanticRule:
                 out.append(Violation("c1", "sem:c1", (v,)))
         return out
 
-    return SemanticRule("sem:c1", "c1", {"kind": "disjoint-predicates"}, fn, decides=("c1",))
+    return SemanticRule("sem:c1", "c1", {"kind": "disjoint-predicates"}, fn, decides=("c1",),
+                        ground=monotone_ground(fn))
 
 
 def _rule_c2(level: int) -> SemanticRule:
@@ -720,7 +721,7 @@ def _rule_c2(level: int) -> SemanticRule:
         return out
 
     return SemanticRule(f"sem:c2:lvl{level}", "c2", {"kind": "unique-predecessor", "level": level}, fn,
-                        decides=("c2",))
+                        decides=("c2",), ground=monotone_ground(fn))
 
 
 def _rule_c3(level: int) -> SemanticRule:
@@ -733,7 +734,7 @@ def _rule_c3(level: int) -> SemanticRule:
         return out
 
     return SemanticRule(f"sem:c3:lvl{level}", "c3", {"kind": "origin-no-predecessor", "level": level}, fn,
-                        decides=("c3",))
+                        decides=("c3",), ground=monotone_ground(fn))
 
 
 def _rule_c4(level: int, axis: str) -> SemanticRule:
@@ -753,7 +754,7 @@ def _rule_c4(level: int, axis: str) -> SemanticRule:
 
     return SemanticRule(
         f"sem:c4:lvl{level}:{axis}", "c4", {"kind": "unique-projection", "level": level, "axis": axis}, fn,
-        decides=("c4",),
+        decides=("c4",), ground=monotone_ground(fn),
     )
 
 
@@ -771,7 +772,8 @@ def _rule_c5(tiles: int) -> SemanticRule:
                 out.append(_vio("c5", "sem:c5", g, (h1, h2, t)))
         return out
 
-    return SemanticRule("sem:c5", "c5", {"kind": "unique-tile-owner", "tiles": tiles}, fn, decides=("c5",))
+    return SemanticRule("sem:c5", "c5", {"kind": "unique-tile-owner", "tiles": tiles}, fn, decides=("c5",),
+                        ground=monotone_ground(fn))
 
 
 def _rule_c6(tiles: int) -> SemanticRule:
@@ -786,7 +788,8 @@ def _rule_c6(tiles: int) -> SemanticRule:
                 out.append(_vio("c6", "sem:c6", g, (h, t)))
         return out
 
-    return SemanticRule("sem:c6", "c6", {"kind": "unique-tile-type", "tiles": tiles}, fn, decides=("c6",))
+    return SemanticRule("sem:c6", "c6", {"kind": "unique-tile-type", "tiles": tiles}, fn, decides=("c6",),
+                        ground=monotone_ground(fn))
 
 
 def _successor_witnesses(
@@ -1000,86 +1003,49 @@ def _c9_scan(g, rel, tiles, budget, has_edge, absent) -> list:
     return out
 
 
+def _scan_rule(constraint: str, descriptor: dict, tiles: int, scan) -> SemanticRule:
+    """A rule over one of the c7, c8, c9 scans, called as ``scan(g, rel,
+    budget, has_edge, absent)``.  ``check`` runs it on the graph's own
+    edges; ``ground`` runs it on the witness search's "may be present" and
+    "may be absent" predicates, with the relations derived from the decided
+    graph alone.  They are edge-monotone, so every completion holding a
+    violation's reads violates the class; in the reduced grid-tile space
+    they read no undecided pair, so there the clauses are exact.
+    """
+
+    def fn(g: ColoredGraph, budget: SearchBudget) -> list:
+        rel = derive_relations(g, tiles, budget)
+        return [v for v, _, _ in scan(g, rel, budget, g.has_edge, lambda x, y: not g.has_edge(x, y))]
+
+    def ground(g, may_present, may_absent, budget) -> list:
+        rel = derive_relations(g, tiles, budget)
+        return [(present, absent) for _, present, absent in scan(g, rel, budget, may_present, may_absent)]
+
+    return SemanticRule(f"sem:{constraint}", constraint, descriptor, fn, decides=(constraint,), ground=ground)
+
+
 def _rule_c7(problem: TilingProblem) -> SemanticRule:
     rules = [("h", l, k) for (l, k) in sorted(problem.h_forbidden)]
     rules += [("v", l, k) for (l, k) in sorted(problem.v_forbidden)]
-
-    def fn(g: ColoredGraph, budget: SearchBudget) -> list:
-        if not rules:
-            return []
-        rel = derive_relations(g, problem.tiles, budget)
-        return [v for v, _, _ in _c7_scan(g, rel, rules, budget, g.has_edge)]
-
-    return SemanticRule(
-        "sem:c7", "c7",
+    return _scan_rule(
+        "c7",
         {"kind": "tiling-rules", "tiles": problem.tiles,
          "h": sorted(problem.h_forbidden), "v": sorted(problem.v_forbidden)},
-        fn,
-        decides=("c7",),
+        problem.tiles,
+        lambda g, rel, budget, has_edge, absent: _c7_scan(g, rel, rules, budget, has_edge),
     )
 
 
 def _rule_c8(tiles: int) -> SemanticRule:
-    def fn(g: ColoredGraph, budget: SearchBudget) -> list:
-        rel = derive_relations(g, tiles, budget)
-        found = _c8_scan(g, rel, budget, g.has_edge, lambda x, y: not g.has_edge(x, y))
-        return [v for v, _, _ in found]
-
-    return SemanticRule("sem:c8", "c8", {"kind": "origin-must-tile", "tiles": tiles}, fn, decides=("c8",))
+    return _scan_rule("c8", {"kind": "origin-must-tile", "tiles": tiles}, tiles, _c8_scan)
 
 
 def _rule_c9(problem: TilingProblem) -> SemanticRule:
-    def fn(g: ColoredGraph, budget: SearchBudget) -> list:
-        rel = derive_relations(g, problem.tiles, budget)
-        found = _c9_scan(g, rel, problem.tiles, budget, g.has_edge, lambda x, y: not g.has_edge(x, y))
-        return [v for v, _, _ in found]
-
-    return SemanticRule(
-        "sem:c9", "c9", {"kind": "tiling-propagation", "tiles": problem.tiles}, fn,
-        decides=("c9",),
+    tiles = problem.tiles
+    return _scan_rule(
+        "c9", {"kind": "tiling-propagation", "tiles": tiles}, tiles,
+        lambda g, rel, budget, has_edge, absent: _c9_scan(g, rel, tiles, budget, has_edge, absent),
     )
-
-
-def ground_clauses(cls: HereditaryClass, glued: ColoredGraph, keys: list, budget: SearchBudget) -> list:
-    """c7, c8 and c9 of a compiled unary class as clauses over the
-    undecided pairs ``keys`` of ``glued``.
-
-    Literal ``i + 1`` says ``keys[i]`` is an edge, ``-(i + 1)`` that it is
-    not.  The rule scans run once, with "may be present" and "may be
-    absent" predicates, and each violation they report becomes one clause:
-    a pair it read as present gives a negative literal, one read as absent
-    a positive literal, and decided pairs, which hold as read, drop out.
-    The derived relations are computed on ``glued`` alone.  They are
-    edge-monotone, so a completion that falsifies a clause violates the
-    class.  In the reduced grid-tile space they read none of the undecided
-    pairs, so there the converse holds too and the clauses are exact.  The
-    relation-monotone c1..c6 are constant along the search and checked
-    once; a violation there is the empty clause.
-    """
-    for r in cls.rules:
-        if r.constraint in ("c1", "c2", "c3", "c4", "c5", "c6", "grid-edge") and r.check(glued, budget):
-            return [()]
-    var = {k: i + 1 for i, k in enumerate(keys)}
-    tiles = cls.meta.get("tiles", 1)
-    rules = [("h", l, k) for (l, k) in cls.meta.get("h", ())]
-    rules += [("v", l, k) for (l, k) in cls.meta.get("v", ())]
-    rel = derive_relations(glued, tiles, budget)
-
-    def may_present(x, y):
-        return glued.has_edge(x, y) or frozenset((x, y)) in var
-
-    def may_absent(x, y):
-        return not glued.has_edge(x, y)
-
-    found = _c7_scan(glued, rel, rules, budget, may_present)
-    found += _c8_scan(glued, rel, budget, may_present, may_absent)
-    found += _c9_scan(glued, rel, tiles, budget, may_present, may_absent)
-    clauses = set()
-    for _, present, absent in found:
-        lits = {-var.get(frozenset(p), 0) for p in present} | {var.get(frozenset(p), 0) for p in absent}
-        lits.discard(0)
-        clauses.add(tuple(sorted(lits)))
-    return sorted(clauses)
 
 
 # --------------------------------------------------------------------------

@@ -9,18 +9,20 @@ from pathlib import Path
 import pytest
 
 from tilejep.core import ColoredGraph, complete_graph, disjoint_union
+from tilejep.encoding import compile_colored_class
 from tilejep.harness import (
     FOUND,
     NONE,
     _grid_tile_cross_pairs,
+    ground_clauses,
     jep_witness_search,
     run_no_experiment,
     run_yes_experiment,
 )
 from tilejep.hereditary import HereditaryClass, INDETERMINATE
-from tilejep.matching import ConstraintPattern, SearchBudget, contains_induced
+from tilejep.matching import ConstraintPattern, SearchBudget, contains_induced, induced_pattern
 from tilejep.tiling import PeriodicTiling, TilingProblem
-from tilejep.unary import canonical_A, canonical_B, compile_unary_class, ground_clauses
+from tilejep.unary import canonical_A, canonical_B, compile_unary_class
 
 EVERYTHING = HereditaryClass("everything", ())
 
@@ -86,16 +88,18 @@ def _naive_jep(a, b, cls, max_n):
 
 
 def test_search_agrees_with_naive_enumeration_on_toy_classes(rng):
-    # uncolored toy classes over at most two forbidden patterns
-    shapes = [complete_graph(3), complete_graph(2),
-              ColoredGraph(range(3), [(0, 1), (1, 2)]), complete_graph(4)]
+    # uncolored toy classes over at most two forbidden patterns, one of
+    # them an induced path with a forbidden pair
+    path = ColoredGraph(range(3), [(0, 1), (1, 2)])
+    shapes = [ConstraintPattern(f) for f in (complete_graph(3), complete_graph(2), path, complete_graph(4))]
+    shapes.append(induced_pattern(path))
     checked = 0
     while checked < 25:
         k = rng.randint(0, 2)
         forb = rng.sample(shapes, k)
         cls = HereditaryClass(
             f"toy{checked}", (),
-            tuple(ConstraintPattern(f.recolored({}), name=f"f{i}") for i, f in enumerate(forb)),
+            tuple(ConstraintPattern(f.pattern, f.forbidden, name=f"f{i}") for i, f in enumerate(forb)),
         )
         na, nb = rng.randint(1, 2), rng.randint(1, 3)
         a = rng.choice(list(_all_graphs(na, ())))
@@ -110,6 +114,15 @@ def test_search_agrees_with_naive_enumeration_on_toy_classes(rng):
         if res.status == FOUND:
             assert cls.check(res.witness).ok
             assert contains_induced(a, res.witness) and contains_induced(b, res.witness)
+        # the pattern clauses are exact: a completion of the cross pairs
+        # falsifies one iff it is not a member
+        glued, ia, ib = disjoint_union(a, b)
+        keys = [frozenset((ia[x], ib[y])) for x in a.vertices for y in b.vertices]
+        clauses = ground_clauses(cls, glued, keys, SearchBudget(10**7))
+        for mask in range(1 << len(keys)):
+            value = [bool(mask >> i & 1) for i in range(len(keys))]
+            completion = glued.with_edges(k for k, v in zip(keys, value) if v)
+            assert _clauses_hold(clauses, value) == cls.check(completion).ok
 
 
 def test_yes_experiment_unary_depths():
@@ -214,6 +227,45 @@ def test_generic_search_with_more_pairs_than_the_recursion_limit():
     res = jep_witness_search(a, b, EVERYTHING, budget=SearchBudget(10**6), identifications=False)
     assert res.status == FOUND and res.explored == 1200
     assert len(res.witness) == 70 and not res.witness.edges
+
+
+def test_search_builds_one_graph_per_leaf_check(monkeypatch):
+    # 2,200 decisions and one leaf: no graph is built or colour-scanned per decision
+    calls = {"with_edges": 0, "multicolored_vertices": 0, "check": 0}
+
+    def counted(owner, name):
+        plain = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(ColoredGraph, "with_edges")
+    counted(ColoredGraph, "multicolored_vertices")
+    counted(HereditaryClass, "check")
+    res = jep_witness_search(ColoredGraph(range(2200)), ColoredGraph(["y"]), HereditaryClass("e", ()))
+    assert res.status == FOUND and res.explored == 2200
+    assert calls["check"] >= 1
+    assert calls["with_edges"] <= calls["check"] and calls["multicolored_vertices"] <= calls["check"]
+
+
+def test_colored_class_gets_the_unary_verdicts():
+    # the colored class grounds the same c1..c9 rules (plus grid-edge) and
+    # leaves wheel-shape to the leaf check
+    for name, depth in [("h11", 1), ("h11", 2), ("checker", 2), ("three", 2)]:
+        t = SPECS[name]
+        a, b = canonical_A(depth, t), canonical_B(depth, t)
+        pairs = _grid_tile_cross_pairs(a, b)
+        verdicts = []
+        for cls in (compile_unary_class(t), compile_colored_class(t)):
+            res = jep_witness_search(a, b, cls, budget=SearchBudget(10**5),
+                                     cross_pairs=pairs, identifications=False)
+            if res.status == FOUND:
+                assert cls.check(res.witness).ok
+            verdicts.append(res.status)
+        assert verdicts == [NONE if name == "h11" and depth == 2 else FOUND] * 2, (name, depth)
 
 
 def test_identifications_deeper_than_the_recursion_limit():

@@ -17,7 +17,7 @@ from tilejep.encoding import (
 from tilejep.hereditary import HereditaryClass, pattern_tag
 from tilejep.jhp import augment, compile_jhp_class, contains_k4
 from tilejep.matching import ConstraintPattern, SearchBudget, matches
-from tilejep.tiling import TilingProblem, solve_periodic
+from tilejep.tiling import PeriodicTiling, TilingProblem, solve_periodic
 from tilejep.unary import (
     GRID,
     TILE,
@@ -56,6 +56,38 @@ def test_subset_without_the_rule_falls_back_to_patterns(h11):
     only_patterns = HereditaryClass("c7-patterns", cls.palette,
                                     tuple(p for p in cls.patterns if p.constraint == "c7"))
     assert only_patterns.pattern_routed_tags() == {"c7"}
+
+
+def test_subset_keeps_the_rules_that_decide_its_tags(h11):
+    # the h11 d2 joint tiled by tile 1 alone breaks c7; wedged, it breaks w:c7 only
+    a, b = canonical_A(2, H11), canonical_B(2, H11)
+    joint = joint_embed_unary(a, b, PeriodicTiling(1, 1, ((1,),)), H11, h11["unary"], check=False)
+    w = wedge(joint, EncodingScheme(stage_palette("pure")))
+    assert len(w) == 772 and h11["pure"].check(w).constraint_ids() == {"w:c7"}
+    only_c7 = h11["pure"].subset(["w:c7"])
+    assert [r.name for r in only_c7.rules] == ["sem:pure-membership"]
+    assert only_c7.check(w).constraint_ids() == {"w:c7"}
+    assert h11["pure"].subset(["w:c1"]).check(w).ok
+    # sem:guards decides H1 and H2 under its own constraint name
+    assert [r.name for r in h11["pure"].subset(["H2"]).rules] == ["sem:guards"]
+
+
+UNARY_TAGS = {f"c{i}" for i in range(1, 10)}
+WHEEL_IMAGES = {f"sem:no-proper-image:W{m}" for m in range(7, 32, 2)}
+
+
+@pytest.mark.parametrize("stage,grounded,leaf_only", [
+    ("unary", UNARY_TAGS, set()),
+    ("colored", UNARY_TAGS | {"grid-edge"}, {"sem:wheel-shape"}),
+    ("pure", set(), {"sem:pure-membership", "sem:guards"}),
+    ("jhp", set(), {"sem:pure-membership", "sem:guards"} | WHEEL_IMAGES),
+])
+def test_which_rules_declare_a_grounding(h11, stage, grounded, leaf_only):
+    # the witness search grounds exactly these rules; the others are left
+    # to its leaf check, so a new rule must pick a side here
+    rules = h11[stage].rules
+    assert {r.constraint for r in rules if r.ground is not None} == grounded
+    assert {r.name for r in rules if r.ground is None} == leaf_only
 
 
 def test_every_family_holds_only_its_tag(h11):
