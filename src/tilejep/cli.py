@@ -11,17 +11,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .encoding import (
-    EncodingScheme,
-    compile_pure_class,
-    complete_and_joint_embed_pure,
-    vee,
-    wedge,
-)
 from .harness import run_no_experiment, run_yes_experiment
 from .hereditary import INDETERMINATE, PASS, MembershipError
-from .jhp import augment, compile_jhp_class
 from .matching import BudgetExceededError, SearchBudget
+from .stages import STAGES
 from .textio import (
     FormatError,
     atomic_write,
@@ -36,14 +29,12 @@ from .textio import (
     write_map,
 )
 from .tiling import solve_bounded, solve_periodic
-from .unary import (
-    canonical_A,
-    canonical_B,
-    compile_unary_class,
-    extract_tiling,
-    joint_embed_unary,
-    stage_palette,
-)
+from .unary import canonical_A, canonical_B, extract_tiling
+
+# Not called here since every stage goes through STAGES; kept as attributes
+# of this module because the traced benchmark replay looks them up by name.
+from .encoding import compile_pure_class, wedge  # noqa: F401
+from .unary import compile_unary_class  # noqa: F401
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -60,65 +51,40 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_spec(path):
-    """The tiling spec at path; a malformed spec is a usage error."""
-    try:
-        return read_tiling(path)
-    except (ValueError, IndexError) as exc:
-        raise UsageError(f"bad tiling spec {path}: {exc}") from exc
-
-
-def _compile(stage, problem):
-    if stage == "unary":
-        return compile_unary_class(problem)
-    if stage == "pure":
-        return compile_pure_class(problem)
-    if stage == "jhp":
-        return compile_jhp_class(problem)
-    raise UsageError(f"unknown stage {stage!r}")
-
-
-def _canonical(problem, model, depth, stage):
-    g = canonical_A(depth, problem) if model == "A" else canonical_B(depth, problem)
-    if stage == "unary":
-        return g
-    scheme = EncodingScheme(stage_palette(stage))
-    if stage == "jhp":
-        g = augment(g).graph
-    return wedge(g, scheme)
+def _positive(text: str) -> int:
+    """Argument type: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def cmd_compile(args) -> int:
-    problem = _read_spec(args.spec)
-    cls = _compile(args.stage, problem)
+    stage = STAGES[args.stage]
+    cls = stage.compile(read_tiling(args.spec))
     write_bundle(args.output, cls)
-    if args.stage in ("pure", "jhp"):
-        scheme = EncodingScheme(EncodingScheme(stage_palette(args.stage)).palette)
-        atomic_write(Path(args.output) / "encoding.scheme", scheme_to_text(scheme))
+    if stage.scheme is not None:
+        atomic_write(Path(args.output) / "encoding.scheme", scheme_to_text(stage.scheme))
     print(f"compiled {cls.name}: {len(cls.patterns)} patterns, {len(cls.rules)} semantic rules -> {args.output}")
     return EXIT_PASS
 
 
 def cmd_canon(args) -> int:
-    problem = _read_spec(args.spec)
-    g = _canonical(problem, args.model, args.depth, args.stage)
-    k = len(stage_palette(args.stage)) if args.stage == "unary" else 0
-    write_graph(args.output, g, palette_size=k)
+    problem = read_tiling(args.spec)
+    stage = STAGES[args.stage]
+    g = stage.encode((canonical_A if args.model == "A" else canonical_B)(args.depth, problem))
+    # encoded graphs are plain: their language has no colors
+    write_graph(args.output, g, palette_size=0 if stage.scheme else len(stage.palette))
     print(f"wrote {g.name}: {len(g)} vertices, {len(g.edges)} edges -> {args.output}")
     return EXIT_PASS
 
 
 def cmd_jointembed(args) -> int:
-    problem = _read_spec(args.spec)
+    problem = read_tiling(args.spec)
     theta = read_map(args.theta)
     a = read_graph(args.factor_a)
     b = read_graph(args.factor_b)
-    if args.stage == "unary":
-        cls = compile_unary_class(problem)
-        joint = joint_embed_unary(a, b, theta, problem, cls)
-    else:
-        cls = _compile(args.stage, problem)
-        joint = complete_and_joint_embed_pure(a, b, problem, theta, stage=args.stage, cls=cls)
+    stage = STAGES[args.stage]
+    joint = stage.join(a, b, problem, theta, stage.compile(problem), check=True)
     write_graph(args.output, joint)
     print(f"wrote joint embedding: {len(joint)} vertices, {len(joint.edges)} edges -> {args.output}")
     return EXIT_PASS
@@ -137,7 +103,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_tiling(args) -> int:
-    problem = _read_spec(args.spec)
+    problem = read_tiling(args.spec)
     try:
         if args.mode == "solve":
             result = solve_bounded(problem, args.n, SearchBudget(args.budget))
@@ -156,7 +122,7 @@ def cmd_tiling(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    problem = _read_spec(args.spec)
+    problem = read_tiling(args.spec)
     theta = read_map(args.theta) if args.theta else None
     if args.kind == "yes":
         rep = run_yes_experiment(problem, args.depth, args.stage, theta=theta)
@@ -176,11 +142,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    problem = _read_spec(args.spec)
-    g = read_graph(args.graph)
-    if args.stage != "unary":
-        scheme = EncodingScheme(stage_palette(args.stage))
-        g = vee(g, scheme)
+    problem = read_tiling(args.spec)
+    g = STAGES[args.stage].decode(read_graph(args.graph))
     patch = extract_tiling(g, args.depth, problem)
     if args.output:
         write_map(args.output, patch)
@@ -193,21 +156,21 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("compile", help="tiling spec -> class bundle")
-    c.add_argument("--stage", choices=("unary", "pure", "jhp"), default="unary")
+    c.add_argument("--stage", choices=tuple(STAGES), default="unary")
     c.add_argument("spec")
     c.add_argument("-o", "--output", required=True)
     c.set_defaults(fn=cmd_compile)
 
     c = sub.add_parser("canon", help="emit canonical/encoded truncations")
     c.add_argument("--model", choices=("A", "B"), required=True)
-    c.add_argument("--depth", type=int, required=True)
-    c.add_argument("--stage", choices=("unary", "pure", "jhp"), default="unary")
+    c.add_argument("--depth", type=_positive, required=True)
+    c.add_argument("--stage", choices=tuple(STAGES), default="unary")
     c.add_argument("spec")
     c.add_argument("-o", "--output", required=True)
     c.set_defaults(fn=cmd_canon)
 
     c = sub.add_parser("jointembed", help="run the stage procedure on two members")
-    c.add_argument("--stage", choices=("unary", "pure", "jhp"), default="unary")
+    c.add_argument("--stage", choices=tuple(STAGES), default="unary")
     c.add_argument("--theta", required=True, help="tiling map file")
     c.add_argument("spec")
     c.add_argument("factor_a")
@@ -223,7 +186,7 @@ def build_parser() -> _Parser:
     c = sub.add_parser("tiling", help="solvability oracles")
     csub = c.add_subparsers(dest="mode", required=True)
     s = csub.add_parser("solve", help="bounded n x n search (definitive none)")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_positive, required=True)
     s.add_argument("--budget", type=int, default=20_000_000)
     s.add_argument("spec")
     s.add_argument("-o", "--output")
@@ -237,16 +200,16 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("experiment", help="end-to-end YES/NO drivers")
     c.add_argument("kind", choices=("yes", "no"))
-    c.add_argument("--stage", choices=("unary", "pure", "jhp"), default="unary")
-    c.add_argument("--depth", type=int, required=True)
+    c.add_argument("--stage", choices=tuple(STAGES), default="unary")
+    c.add_argument("--depth", type=_positive, required=True)
     c.add_argument("--theta", help="optional explicit tiling map (yes experiments)")
     c.add_argument("spec")
     c.add_argument("-o", "--output")
     c.set_defaults(fn=cmd_experiment)
 
     c = sub.add_parser("extract", help="tiling readout from a joint embedding")
-    c.add_argument("--depth", type=int, required=True)
-    c.add_argument("--stage", choices=("unary", "pure", "jhp"), default="unary")
+    c.add_argument("--depth", type=_positive, required=True)
+    c.add_argument("--stage", choices=tuple(STAGES), default="unary")
     c.add_argument("spec")
     c.add_argument("graph")
     c.add_argument("-o", "--output")

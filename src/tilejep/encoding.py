@@ -20,7 +20,7 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional
 
-from .core import ColoredGraph, blocks, cycle_graph
+from .core import ColoredGraph, blocks, cycle_graph, disjoint_union, pair
 from .hereditary import (HereditaryClass, MembershipError, PatternFamily, SemanticRule, Violation,
                          monotone_ground)
 from .matching import (
@@ -30,12 +30,9 @@ from .matching import (
     induced_pattern,
 )
 from .tiling import TilingMap, TilingProblem
-from .unary import (
-    GRID,
-    compile_unary_class,
-    joint_embed_unary,
-    stage_palette,
-)
+from .unary import GRID, compile_unary_class, stage_palette, tiling_pairs
+
+WEDGE_CAP = 150  # largest wedge image, in vertices, a pure class materialises
 
 
 def wheel(n: int, name: str = "") -> ColoredGraph:
@@ -194,21 +191,18 @@ def find_free_wheel_copies(g: ColoredGraph, sizes: Iterable[int]) -> list:
     A copy is free when its block induces exactly a wheel of one of the
     given rim sizes and no rim vertex has edges outside the block; only the
     hub may touch the rest of the graph.  Returns (hub, vertex set, size)
-    triples in deterministic order.
+    triples in deterministic order.  The free copies of every size are
+    memoised on the graph, as ``neighborhood_profile`` is.
     """
+    if "_free_wheel_copies" not in g.__dict__:
+        copies = []
+        for blk in blocks(g):
+            res = _block_as_wheel(g, blk)
+            if res is not None and all(g.degree(v) == 3 for v in blk if v != res[0]):
+                copies.append((res[0], blk, res[1]))
+        g.__dict__["_free_wheel_copies"] = copies
     wanted = set(sizes)
-    out = []
-    for blk in blocks(g):
-        res = _block_as_wheel(g, blk)
-        if res is None:
-            continue
-        hub, m = res
-        if m not in wanted:
-            continue
-        if any(g.degree(v) != 3 for v in blk if v != hub):
-            continue
-        out.append((hub, blk, m))
-    return out
+    return [c for c in g.__dict__["_free_wheel_copies"] if c[2] in wanted]
 
 
 def vee(g: ColoredGraph, scheme: EncodingScheme) -> ColoredGraph:
@@ -227,14 +221,6 @@ def vee(g: ColoredGraph, scheme: EncodingScheme) -> ColoredGraph:
     keepset = set(keep)
     edges = [tuple(e) for e in g.edges if set(e) <= keepset]
     return ColoredGraph(keep, edges, colors, name=f"vee[{g.name}]")
-
-
-def vee_cover(g: ColoredGraph, scheme: EncodingScheme) -> set:
-    """Vertices lying inside some free wheel copy (hub or interior)."""
-    covered: set = set()
-    for _, blk, _ in find_free_wheel_copies(g, scheme.sizes()):
-        covered |= blk
-    return covered
 
 
 # --------------------------------------------------------------------------
@@ -562,8 +548,6 @@ def wedge_pattern(p: ConstraintPattern, scheme: EncodingScheme) -> Optional[Cons
             own[r] = own[v]
     edgeset = graph.edges
     forb = [tuple(e) for e in p.forbidden]
-    from .core import pair as mkpair
-
     for u, v in combinations(verts, 2):
         if v in own.get(u, ()):  # same wheel: induced structure already fixed
             if not graph.has_edge(u, v):
@@ -574,7 +558,7 @@ def wedge_pattern(p: ConstraintPattern, scheme: EncodingScheme) -> Optional[Cons
         if hub_u and hub_v:
             continue  # hub-hub pairs keep the colored pattern's semantics
         forb.append((u, v))  # at least one interior vertex: no outside contact
-    forb = [e for e in forb if mkpair(*e) not in edgeset]
+    forb = [e for e in forb if pair(*e) not in edgeset]
     return ConstraintPattern(graph, forb, name=f"w:{p.name}", constraint=f"w:{p.constraint}")
 
 
@@ -619,12 +603,12 @@ def wedged_size(p: ConstraintPattern, scheme: EncodingScheme) -> Optional[int]:
     return total
 
 
-def _wedge_family(family: PatternFamily, scheme: EncodingScheme, wedge_cap: int) -> list:
-    """The wedge images of a colored family's patterns up to ``wedge_cap`` vertices."""
+def _wedge_family(family: PatternFamily, scheme: EncodingScheme) -> list:
+    """The wedge images of a colored family's patterns up to ``WEDGE_CAP`` vertices."""
     out = []
     for p in family.patterns:
         size = wedged_size(p, scheme)
-        if size is None or size > wedge_cap:
+        if size is None or size > WEDGE_CAP:
             continue
         wp = wedge_pattern(p, scheme)
         if wp is not None:
@@ -632,9 +616,7 @@ def _wedge_family(family: PatternFamily, scheme: EncodingScheme, wedge_cap: int)
     return out
 
 
-def compile_pure_class(
-    problem: TilingProblem, stage: str = "pure", wedge_cap: int = 150
-) -> HereditaryClass:
+def compile_pure_class(problem: TilingProblem, stage: str = "pure") -> HereditaryClass:
     """Compile the pure-graph-language class for a tiling problem.
 
     Pattern families: the H1/H2 guards, then the wedge images of the
@@ -643,7 +625,7 @@ def compile_pure_class(
     every wedged (``w:*``) prohibition through vee, and the structural guard
     rule decides H1 and H2, so neither the compile nor ``check`` builds a
     pattern.  The patterns, built when read, are the tier-1 cross-check
-    (``check(use_rules=False)``).  Wedge images above ``wedge_cap`` vertices
+    (``check(use_rules=False)``).  Wedge images above ``WEDGE_CAP`` vertices
     (the successor-configuration constraints, 300+ vertices once encoded)
     are not materialized, and the pattern route skips the wedged and guard
     patterns on hosts larger than ``meta['pattern_host_cap']``.  The two
@@ -653,18 +635,18 @@ def compile_pure_class(
     colored = compile_colored_class(problem, stage)
     # wheel-shape stays a colored-language constraint; the vee rule covers it
     wedged = tuple(
-        PatternFamily(f"w:{f.tag}", partial(_wedge_family, f, scheme, wedge_cap))
+        PatternFamily(f"w:{f.tag}", partial(_wedge_family, f, scheme))
         for f in colored.families if f.tag != "wheel-shape"
     )
     guards = (PatternFamily("H1", partial(_h1_patterns, scheme)),
               PatternFamily("H2", partial(_h2_patterns, scheme)))
     return HereditaryClass(
-        name=f"pure[{problem.describe()}]" if stage == "pure" else f"{stage}-pure[{problem.describe()}]",
+        name=f"{stage}[{problem.describe()}]",
         palette=(),
         patterns=guards + wedged,
         rules=(_rule_pure_membership(problem, scheme, colored), _rule_guards(scheme)),
         meta={
-            "stage": stage if stage != "pure" else "pure",
+            "stage": stage,
             "tiles": problem.tiles,
             "h": sorted(problem.h_forbidden),
             "v": sorted(problem.v_forbidden),
@@ -675,14 +657,17 @@ def compile_pure_class(
 
 
 def complete_with_dummies(g: ColoredGraph, scheme: EncodingScheme) -> ColoredGraph:
-    """Attach a dummy wheel over every vertex not inside a free wheel copy."""
-    covered = vee_cover(g, scheme)
+    """Attach a dummy wheel over every vertex not inside a free wheel copy;
+    ``g`` itself when every vertex already lies in one."""
+    covered = set().union(*(blk for _, blk, _ in find_free_wheel_copies(g, scheme.sizes())))
+    bare = [v for v in g.vertices if v not in covered]
+    if not bare:
+        return g
     verts = list(g.vertices)
     edges = [tuple(e) for e in g.edges]
     size = scheme.wheel_size(scheme.dummy)
-    for v in g.vertices:
-        if v not in covered:
-            _attach_wheel(verts, edges, {}, v, size, ".d")
+    for v in bare:
+        _attach_wheel(verts, edges, {}, v, size, ".d")
     return ColoredGraph(verts, edges, name=f"complete[{g.name}]")
 
 
@@ -701,9 +686,9 @@ def complete_and_joint_embed_pure(
     """The pure-language joint-embedding procedure.
 
     Step 1 completes both members with dummy wheels so every vertex lies in
-    a free wheel copy.  Step 2 decodes both, runs the colored edge-adding
-    procedure, and adds the same grid-to-tile edges directly between the
-    completed pure graphs.
+    a free wheel copy.  Step 2 decodes both and adds the colored procedure's
+    ``tiling_pairs`` directly between the completed pure graphs: ``vee``
+    keeps hub ids, so each decoded pair names two hubs.
     """
     scheme = EncodingScheme(stage_palette(stage))
     cls = cls or compile_pure_class(problem, stage)
@@ -712,27 +697,11 @@ def complete_and_joint_embed_pure(
         cls.require_member(b, budget=budget, what=f"factor {b.name or 'b'}")
     a_plus = complete_with_dummies(a, scheme)
     b_plus = complete_with_dummies(b, scheme)
-    colored_cls = colored_cls or compile_colored_class(problem, stage)
     sa, sb = vee(a_plus, scheme), vee(b_plus, scheme)
     if check:
+        colored_cls = colored_cls or compile_colored_class(problem, stage)
         colored_cls.require_member(sa, budget=budget, what="decoded factor a")
         colored_cls.require_member(sb, budget=budget, what="decoded factor b")
-    colored_joint = joint_embed_unary(sa, sb, theta, problem, colored_cls, check=False)
-    from .core import disjoint_union
-
     union, inj_a, inj_b = disjoint_union(a_plus, b_plus, name=f"{a.name}*{b.name}")
-    extra = []
-    base_edges = set(colored_joint.edges)
-    sa_edges = {frozenset(e) for e in sa.edges}
-    # edges of the colored joint not present in either decoded factor are the
-    # added grid-to-tile edges; map them back onto the completed pure graphs
-    _, ja, jb = disjoint_union(sa, sb)
-    back_a = {ja[v]: v for v in sa.vertices}
-    back_b = {jb[v]: v for v in sb.vertices}
-    for e in colored_joint.edges:
-        u, v = tuple(e)
-        if u in back_a and v in back_b:
-            extra.append((inj_a[back_a[u]], inj_b[back_b[v]]))
-        elif v in back_a and u in back_b:
-            extra.append((inj_a[back_a[v]], inj_b[back_b[u]]))
+    extra = [(inj_a[x], inj_b[y]) for x, y in tiling_pairs(sa, sb, theta, problem)]
     return union.with_edges(extra, name=f"purejoint[{a.name}|{b.name}]")

@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Optional
 from .core import ColoredGraph, backtrack, disjoint_union, free_join
 from .hereditary import FAIL, INDETERMINATE, PASS, HereditaryClass
 from .matching import BudgetExceededError, SearchBudget, _match_engine
+from .stages import STAGES
 from .tiling import (
     TilingMap,
     TilingProblem,
@@ -40,11 +41,11 @@ from .unary import (
     compile_unary_class,
     coordinates,
     extract_tiling,
-    joint_embed_unary,
 )
 
 FOUND = "found"
 NONE = "none"
+FULL_SEARCH_CAP = 24  # the NO driver searches the full space only up to |A| + |B| this large
 
 
 @dataclass(frozen=True)
@@ -334,33 +335,6 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _stage_objects(problem: TilingProblem, stage: str, n: int):
-    """Canonical witnesses, class, and helpers for one pipeline stage."""
-    from .encoding import EncodingScheme, compile_pure_class, vee, wedge
-    from .jhp import augment, compile_jhp_class
-    from .unary import stage_palette
-
-    A = canonical_A(n, problem)
-    B = canonical_B(n, problem)
-    if stage == "unary":
-        cls = compile_unary_class(problem)
-        return A, B, cls, None
-    if stage == "pure":
-        cls = compile_pure_class(problem)
-        scheme = EncodingScheme(stage_palette("pure"))
-        return wedge(A, scheme), wedge(B, scheme), cls, scheme
-    if stage == "jhp":
-        cls = compile_jhp_class(problem)
-        scheme = EncodingScheme(stage_palette("jhp"))
-        return (
-            wedge(augment(A).graph, scheme),
-            wedge(augment(B).graph, scheme),
-            cls,
-            scheme,
-        )
-    raise ValueError(f"unknown stage {stage!r}")
-
-
 def run_yes_experiment(
     problem: TilingProblem,
     n: int,
@@ -376,8 +350,7 @@ def run_yes_experiment(
     explicitly supplied map is validated instead (the searched one is not
     always the map an experiment wants to showcase).
     """
-    from .encoding import complete_and_joint_embed_pure, vee
-
+    st = STAGES[stage]
     rep = ExperimentReport("yes", problem.describe(), stage, n)
     t0 = time.perf_counter()
     if theta is None:
@@ -399,7 +372,8 @@ def run_yes_experiment(
     rep.timings["oracle"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    a, b, cls, scheme = _stage_objects(problem, stage, n)
+    cls = st.compile(problem)
+    a, b = st.encode(canonical_A(n, problem)), st.encode(canonical_B(n, problem))
     rep.timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -412,12 +386,7 @@ def run_yes_experiment(
         return rep
 
     t0 = time.perf_counter()
-    if stage == "unary":
-        joint = joint_embed_unary(a, b, theta, problem, cls, check=False)
-    else:
-        joint = complete_and_joint_embed_pure(
-            a, b, problem, theta, stage=stage, cls=cls, check=False
-        )
+    joint = st.join(a, b, problem, theta, cls, check=False)
     rep.joint["vertices"] = len(joint)
     rep.joint["edges"] = len(joint.edges)
     rep.timings["procedure"] = time.perf_counter() - t0
@@ -432,8 +401,7 @@ def run_yes_experiment(
         return rep
 
     t0 = time.perf_counter()
-    shadow = joint if stage == "unary" else vee(joint, scheme)
-    patch = extract_tiling(shadow, n, problem)
+    patch = extract_tiling(st.decode(joint), n, problem)
     rep.extracted = [[patch.tile_at(x, y) for x in range(n)] for y in range(n)]
     expected = [[theta.tile_at(x, y) for x in range(n)] for y in range(n)]
     rep.roundtrip_ok = rep.extracted == expected
@@ -479,7 +447,6 @@ def run_no_experiment(
     problem: TilingProblem,
     n: int,
     budget: SearchBudget | None = None,
-    full_search_cap: int = 24,
 ) -> ExperimentReport:
     """Refute joint embeddability of the depth-n canonical models for an
     instance with no n x n patch.
@@ -517,7 +484,7 @@ def run_no_experiment(
     t0 = time.perf_counter()
     pairs = _grid_tile_cross_pairs(a, b)
     spaces = [(f"reduced to {len(pairs)} grid-tile pairs", pairs, False, 60_000_000)]
-    if len(a) + len(b) <= full_search_cap:
+    if len(a) + len(b) <= FULL_SEARCH_CAP:
         spaces.insert(0, ("full space", None, True, 40_000_000))
     for label, cross, ident, limit in spaces:
         res = jep_witness_search(a, b, cls, budget=budget or SearchBudget(limit),

@@ -193,32 +193,6 @@ def deformed_image_witness(
     return None
 
 
-def no_proper_image_check(
-    g: ColoredGraph, scheme: EncodingScheme, budget: SearchBudget | None = None
-) -> CheckReport:
-    """Verdict: g has no K4 and no deformed homomorphic image of any scheme
-    wheel (equivalently, the induced image of every wheel homomorphism is a
-    plain wheel).  Validated against explicit 5- and 7-rim enumerations on
-    small hosts in the test suite."""
-    budget = budget or SearchBudget()
-    violations = []
-    try:
-        k4 = contains_k4(g, budget)
-        if k4 is not None:
-            violations.append(Violation("K4", "k4-scan", k4))
-        else:
-            for color in scheme.palette:
-                m = scheme.wheel_size(color)
-                wit = deformed_image_witness(g, m, budget)
-                if wit is not None:
-                    x, comp = wit
-                    violations.append(
-                        Violation("wheel-image", f"deformed-image:W{m}", (x, *comp))
-                    )
-    except BudgetExceededError as exc:
-        return CheckReport(INDETERMINATE, tuple(violations), (str(exc),))
-    return CheckReport(PASS if not violations else FAIL, tuple(violations))
-
 # --------------------------------------------------------------------------
 # the stage-3 class
 # --------------------------------------------------------------------------
@@ -267,11 +241,11 @@ def compile_jhp_class(problem: TilingProblem) -> HereditaryClass:
     scheme = EncodingScheme(stage_palette("jhp"))
     base = compile_pure_class(problem, stage="jhp")
     return HereditaryClass(
-        name=f"jhp[{problem.describe()}]",
+        name=base.name,
         palette=(),
         patterns=base.families + (PatternFamily("K4", _k4_patterns),),
         rules=tuple(base.rules) + _rule_no_proper_images(scheme),
-        meta=dict(base.meta, stage="jhp"),
+        meta=dict(base.meta),
     )
 
 

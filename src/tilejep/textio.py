@@ -27,9 +27,11 @@ Compiled classes serialize to a bundle directory: ``manifest.json`` plus one
 pattern file per constraint instance.  The manifest records each pattern
 file's tag, so a loaded class parses a tag's files only when that family is
 read.  Semantic rules are stored as their descriptors and rebuilt on load
-by recompiling the class, which builds no pattern.
+by compiling the manifest's stage (``stages.STAGES``), which builds no
+pattern.
 
-All writers go through a temp file and an atomic rename.
+Every reader raises ``FormatError`` on malformed input, naming the
+offending line.  All writers go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -45,11 +47,17 @@ from pathlib import Path
 from .core import ColoredGraph
 from .matching import ConstraintPattern
 from .hereditary import HereditaryClass, PatternFamily, pattern_tag
+from .stages import STAGES
 from .tiling import Patch, PeriodicTiling, TilingProblem
 
 
 class FormatError(ValueError):
     """Malformed input file."""
+
+
+def _bad(line: str, exc: Exception) -> FormatError:
+    """``exc``, raised while reading ``line``, as a FormatError naming it."""
+    return exc if isinstance(exc, FormatError) else FormatError(f"bad line {line!r}: {exc}")
 
 
 def _parse_id(tok: str):
@@ -133,25 +141,28 @@ def _parse_graph_lines(lines: list, expect: str):
     forb: list = []
     constraint = ""
     for line in lines[1:]:
-        toks = line.split()
-        kind = toks[0]
-        if kind == "v":
-            if len(toks) < 2:
-                raise FormatError(f"bad vertex line: {line!r}")
-            vid = _parse_id(toks[1])
-            verts.append(vid)
-            if len(toks) >= 3:
-                if toks[2] != "colors:" or len(toks) < 4:
-                    raise FormatError(f"bad colors clause: {line!r}")
-                colors[vid] = [c for c in toks[3].split(",") if c]
-        elif kind == "e":
-            edges.append((_parse_id(toks[1]), _parse_id(toks[2])))
-        elif kind == "f":
-            forb.append((_parse_id(toks[1]), _parse_id(toks[2])))
-        elif kind == "constraint":
-            constraint = toks[1]
-        else:
-            raise FormatError(f"unknown record {kind!r} in line {line!r}")
+        try:
+            toks = line.split()
+            kind = toks[0]
+            if kind == "v":
+                if len(toks) < 2:
+                    raise FormatError(f"bad vertex line: {line!r}")
+                vid = _parse_id(toks[1])
+                verts.append(vid)
+                if len(toks) >= 3:
+                    if toks[2] != "colors:" or len(toks) < 4:
+                        raise FormatError(f"bad colors clause: {line!r}")
+                    colors[vid] = [c for c in toks[3].split(",") if c]
+            elif kind == "e":
+                edges.append((_parse_id(toks[1]), _parse_id(toks[2])))
+            elif kind == "f":
+                forb.append((_parse_id(toks[1]), _parse_id(toks[2])))
+            elif kind == "constraint":
+                constraint = toks[1]
+            else:
+                raise FormatError(f"unknown record {kind!r} in line {line!r}")
+        except IndexError as exc:
+            raise _bad(line, exc) from exc
     return name, verts, edges, colors, forb, constraint
 
 
@@ -159,13 +170,19 @@ def graph_from_text(text: str) -> ColoredGraph:
     name, verts, edges, colors, forb, _ = _parse_graph_lines(_lines(text), "graph")
     if forb:
         raise FormatError("graph file contains forbidden-pair lines; use pattern_from_text")
-    return ColoredGraph(verts, edges, colors, name=name)
+    try:
+        return ColoredGraph(verts, edges, colors, name=name)
+    except ValueError as exc:  # an edge to an undeclared vertex names the edge
+        raise FormatError(f"bad graph {name!r}: {exc}") from exc
 
 
 def pattern_from_text(text: str) -> ConstraintPattern:
     name, verts, edges, colors, forb, constraint = _parse_graph_lines(_lines(text), "pattern")
-    g = ColoredGraph(verts, edges, colors, name=name)
-    return ConstraintPattern(g, forb, name=name, constraint=constraint)
+    try:
+        return ConstraintPattern(ColoredGraph(verts, edges, colors, name=name), forb, name=name,
+                                 constraint=constraint)
+    except ValueError as exc:
+        raise FormatError(f"bad pattern {name!r}: {exc}") from exc
 
 
 def write_graph(path, g: ColoredGraph, palette_size: int | None = None) -> None:
@@ -191,18 +208,24 @@ def tiling_from_text(text: str) -> TilingProblem:
     h: set = set()
     v: set = set()
     for line in _lines(text):
-        toks = line.split()
-        if toks[0] == "tiles":
-            tiles = int(toks[1])
-        elif toks[0] == "hnot":
-            h.add((int(toks[1]), int(toks[2])))
-        elif toks[0] == "vnot":
-            v.add((int(toks[1]), int(toks[2])))
-        else:
-            raise FormatError(f"unknown tiling record: {line!r}")
+        try:
+            toks = line.split()
+            if toks[0] == "tiles":
+                tiles = int(toks[1])
+            elif toks[0] == "hnot":
+                h.add((int(toks[1]), int(toks[2])))
+            elif toks[0] == "vnot":
+                v.add((int(toks[1]), int(toks[2])))
+            else:
+                raise FormatError(f"unknown tiling record: {line!r}")
+        except (IndexError, ValueError) as exc:
+            raise _bad(line, exc) from exc
     if tiles is None:
         raise FormatError("tiling spec missing 'tiles <t>' line")
-    return TilingProblem(tiles, frozenset(h), frozenset(v))
+    try:
+        return TilingProblem(tiles, frozenset(h), frozenset(v))
+    except ValueError as exc:
+        raise FormatError(f"bad tiling spec: {exc}") from exc
 
 
 def read_tiling(path) -> TilingProblem:
@@ -225,20 +248,22 @@ def map_from_text(text: str):
     lines = _lines(text)
     if not lines:
         raise FormatError("empty tiling map")
-    head = lines[0].split()
-    if head[0] == "periodic":
-        px, py = int(head[1]), int(head[2])
-        rows = [tuple(int(t) for t in line.split()) for line in lines[1 : 1 + py]]
-        return PeriodicTiling(px, py, tuple(rows))
-    if head[0] == "patch":
+    line = lines[0]
+    try:
+        head = line.split()
+        if head[0] not in ("periodic", "patch"):
+            raise FormatError(f"unknown map header: {line!r}")
         w, h = int(head[1]), int(head[2])
-        cells = {}
-        for y, line in enumerate(lines[1 : 1 + h]):
-            for x, tok in enumerate(line.split()):
-                if tok != ".":
-                    cells[(x, y)] = int(tok)
-        return Patch(w, h, cells)
-    raise FormatError(f"unknown map header: {lines[0]!r}")
+        blank = "." if head[0] == "patch" else None
+        rows = []
+        for line in lines[1 : 1 + h]:
+            rows.append([None if t == blank else int(t) for t in line.split()])
+        line = lines[0]  # the header names a wrong row count or a cell outside the window
+        if head[0] == "periodic":
+            return PeriodicTiling(w, h, tuple(map(tuple, rows)))
+        return Patch(w, h, {(x, y): t for y, row in enumerate(rows) for x, t in enumerate(row) if t is not None})
+    except (IndexError, ValueError) as exc:
+        raise _bad(line, exc) from exc
 
 
 def read_map(path):
@@ -305,60 +330,47 @@ def _read_patterns(d: Path, files: tuple) -> list:
 def read_bundle(dirpath) -> HereditaryClass:
     """Rebuild a compiled class from a bundle directory.
 
-    Semantic rules are reconstructed by recompiling from the manifest's
-    recorded stage and tiling problem (a compile builds no pattern), then
-    matched up by rule name.  Pattern files load per tag: each run of files
-    with one ``pattern_tags`` entry becomes a family parsed only when read,
-    so a default ``check`` parses none.  A manifest without tags loads
-    every pattern file at once.
+    Semantic rules are reconstructed by compiling the manifest's recorded
+    stage and tiling problem through ``STAGES`` (a compile builds no
+    pattern), then matched up by rule name.  Pattern files load per tag:
+    each run of files with one ``pattern_tags`` entry becomes a family
+    parsed only when read, so a default ``check`` parses none.  A manifest
+    without tags loads every pattern file at once.  A malformed manifest or
+    an unknown stage raises ``FormatError``.
     """
     d = Path(dirpath)
-    manifest = json.loads((d / "manifest.json").read_text())
-    files = manifest["patterns"]
-    if "pattern_tags" in manifest:
-        if len(manifest["pattern_tags"]) != len(files):
+    path = d / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+        files = manifest["patterns"]
+        tags = manifest.get("pattern_tags")
+        meta = manifest.get("meta", {})
+        stage = meta.get("stage")
+        if stage:
+            problem = TilingProblem(
+                meta["tiles"],
+                frozenset(map(tuple, meta.get("h", []))),
+                frozenset(map(tuple, meta.get("v", []))),
+            )
+            wanted = {r["name"] for r in manifest.get("semantic_rules", [])}
+        name, palette = manifest["name"], tuple(manifest["palette"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"bad manifest {path}: {exc}") from exc
+    if tags is not None:
+        if len(tags) != len(files):
             raise FormatError("manifest lists a different number of pattern tags and pattern files")
         patterns = tuple(
             PatternFamily(tag, partial(_read_patterns, d, tuple(f for f, _ in run)))
-            for tag, run in groupby(zip(files, manifest["pattern_tags"]), key=itemgetter(1))
+            for tag, run in groupby(zip(files, tags), key=itemgetter(1))
         )
     else:
         patterns = tuple(_read_patterns(d, files))
-    meta = manifest.get("meta", {})
     rules: tuple = ()
-    stage = meta.get("stage")
     if stage:
-        problem = TilingProblem(
-            meta["tiles"],
-            frozenset(map(tuple, meta.get("h", []))),
-            frozenset(map(tuple, meta.get("v", []))),
-        )
-        rules = _recompile_rules(stage, problem)
-        wanted = {r["name"] for r in manifest.get("semantic_rules", [])}
-        rules = tuple(r for r in rules if r.name in wanted)
-    return HereditaryClass(
-        name=manifest["name"],
-        palette=tuple(manifest["palette"]),
-        patterns=patterns,
-        rules=rules,
-        meta=meta,
-    )
-
-
-def _recompile_rules(stage: str, problem: TilingProblem) -> tuple:
-    if stage == "unary":
-        from .unary import compile_unary_class
-
-        return compile_unary_class(problem).rules
-    if stage == "pure":
-        from .encoding import compile_pure_class
-
-        return compile_pure_class(problem).rules
-    if stage == "jhp":
-        from .jhp import compile_jhp_class
-
-        return compile_jhp_class(problem).rules
-    raise FormatError(f"unknown stage in manifest: {stage!r}")
+        if stage not in STAGES:
+            raise FormatError(f"unknown stage in manifest: {stage!r}")
+        rules = tuple(r for r in STAGES[stage].compile(problem).rules if r.name in wanted)
+    return HereditaryClass(name=name, palette=palette, patterns=patterns, rules=rules, meta=meta)
 
 
 # -- two-relation structures --------------------------------------------------

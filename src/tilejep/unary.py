@@ -51,14 +51,11 @@ PALETTE_STAGE1 = (
 
 
 def stage_palette(stage: str) -> tuple:
-    """Palette per pipeline stage; the dummy completion color is always last."""
-    if stage == "unary":
-        return PALETTE_STAGE1
-    if stage == "pure":
-        return PALETTE_STAGE1 + (DUMMY,)
-    if stage == "jhp":
-        return PALETTE_STAGE1 + (GUARD, DUMMY)
-    raise ValueError(f"unknown stage {stage!r}")
+    """The palette of a pipeline stage (``stages.STAGES``); the dummy
+    completion color is always last."""
+    from .stages import STAGES  # the stage table imports this module
+
+    return STAGES[stage].palette
 
 
 def path_like(g: ColoredGraph, v, level: int) -> bool:
@@ -98,12 +95,6 @@ class DerivedRelations:
 
     def full_chains(self, h) -> list:
         return [ch for ch in self.chains.get(h, ()) if len(ch) == self.tiles]
-
-    def tau_types(self, g0, t) -> list:
-        """Type indices under which grid0 vertex g0 is tiled by t."""
-        if (g0, t) not in self.tau_pairs:
-            return []
-        return sorted({i for (_, tt, i) in self.tau_triples if tt == t})
 
 
 def _colored(g: ColoredGraph, color: str) -> list:
@@ -1104,30 +1095,15 @@ def compile_unary_class(problem: TilingProblem, palette: tuple = PALETTE_STAGE1)
     )
 
 
-def joint_embed_unary(
-    a: ColoredGraph,
-    b: ColoredGraph,
-    theta: TilingMap,
-    problem: TilingProblem,
-    cls: HereditaryClass | None = None,
-    *,
-    check: bool = True,
-    budget: SearchBudget | None = None,
-) -> ColoredGraph:
-    """The edge-adding joint-embedding procedure for two class members.
+def tiling_pairs(a: ColoredGraph, b: ColoredGraph, theta: TilingMap, problem: TilingProblem) -> list:
+    """The (a-vertex, b-vertex) pairs the edge-adding procedure joins.
 
-    Starting from the disjoint union, adds every edge (g, t) where g is a
-    level-0 grid vertex of one factor with coordinates (n, m), and t is a
-    tile of type theta(n, m) attached to a level-1 grid vertex of the other
-    factor with the same coordinates.  All qualifying edges are added.
+    A level-0 grid vertex of one factor with coordinates (n, m) pairs with
+    every tile of type theta(n, m) attached to a level-1 grid vertex of the
+    other factor with the same coordinates.
     """
-    if check:
-        cls = cls or compile_unary_class(problem)
-        cls.require_member(a, budget=budget, what=f"factor {a.name or 'a'}")
-        cls.require_member(b, budget=budget, what=f"factor {b.name or 'b'}")
-    union, inj_a, inj_b = disjoint_union(a, b, name=f"{a.name}*{b.name}")
-    extra = []
-    for src, dst, inj_s, inj_d in ((a, b, inj_a, inj_b), (b, a, inj_b, inj_a)):
+    pairs = []
+    for src, dst, flip in ((a, b, False), (b, a, True)):
         coords_src = coordinates(src)
         coords_dst = coordinates(dst)
         rel_dst = derive_relations(dst, problem.tiles)
@@ -1142,8 +1118,28 @@ def joint_embed_unary(
             k = theta.tile_at(n, m)
             if k is None:
                 raise ValueError(f"theta undefined at coordinates ({n},{m})")
-            for t in tiles_at.get(((n, m), k), ()):
-                extra.append((inj_s[gv], inj_d[t]))
+            pairs += [(t, gv) if flip else (gv, t) for t in tiles_at.get(((n, m), k), ())]
+    return pairs
+
+
+def joint_embed_unary(
+    a: ColoredGraph,
+    b: ColoredGraph,
+    theta: TilingMap,
+    problem: TilingProblem,
+    cls: HereditaryClass | None = None,
+    *,
+    check: bool = True,
+    budget: SearchBudget | None = None,
+) -> ColoredGraph:
+    """The edge-adding joint-embedding procedure for two class members:
+    the disjoint union plus every pair of ``tiling_pairs``."""
+    if check:
+        cls = cls or compile_unary_class(problem)
+        cls.require_member(a, budget=budget, what=f"factor {a.name or 'a'}")
+        cls.require_member(b, budget=budget, what=f"factor {b.name or 'b'}")
+    union, inj_a, inj_b = disjoint_union(a, b, name=f"{a.name}*{b.name}")
+    extra = [(inj_a[x], inj_b[y]) for x, y in tiling_pairs(a, b, theta, problem)]
     return union.with_edges(extra, name=f"joint[{a.name}|{b.name}]")
 
 

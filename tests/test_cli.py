@@ -120,3 +120,34 @@ def test_compile_writes_the_same_pattern_files(tmp_path, stage):
     for f in files:
         digest.update(f.name.encode() + b"\0" + f.read_bytes())
     assert (len(files), digest.hexdigest()) == THREE_PATTERN_DIGESTS[stage]
+
+
+# Each case writes its files into the spec directory and runs one command
+# that reads one malformed input; {d} is that directory.
+MALFORMED = {
+    "edge-line-without-target": ({"g.graph": "graph g\nv 1\ne 1\n"},
+                                 ("extract", "--depth", "1", "{d}/free.txt", "{d}/g.graph")),
+    "edge-to-undeclared-vertex": ({"g.graph": "graph g\nv 1\ne 1 2\n"},
+                                  ("extract", "--depth", "1", "{d}/free.txt", "{d}/g.graph")),
+    "map-header-without-height": ({"m.map": "patch 2\n"},
+                                  ("experiment", "yes", "--depth", "1", "--theta", "{d}/m.map", "{d}/free.txt")),
+    "map-cell-not-an-integer": ({"m.map": "periodic 1 1\nx\n"},
+                                ("experiment", "yes", "--depth", "1", "--theta", "{d}/m.map", "{d}/free.txt")),
+    "periodic-map-missing-a-row": ({"m.map": "periodic 2 2\n1 1\n"},
+                                   ("experiment", "yes", "--depth", "1", "--theta", "{d}/m.map", "{d}/free.txt")),
+    "truncated-manifest": ({"b/manifest.json": '{"name": "u', "g.graph": "graph g\nv 1\n"},
+                           ("check", "{d}/b", "{d}/g.graph")),
+    "canon-depth-zero": ({}, ("canon", "--model", "A", "--depth", "0", "{d}/free.txt", "-o", "{d}/A.graph")),
+    "experiment-no-depth-zero": ({}, ("experiment", "no", "--depth", "0", "{d}/hard.txt")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_a_usage_error(specs, capsys, case):
+    files, argv = MALFORMED[case]
+    for name, text in files.items():
+        (specs / name).parent.mkdir(exist_ok=True)
+        (specs / name).write_text(text)
+    assert run(*(a.format(d=specs) for a in argv)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err

@@ -13,7 +13,6 @@ from tilejep.jhp import (
     contains_k4,
     deformed_image_witness,
     edge_nonedge_transform,
-    no_proper_image_check,
     proper_hom_images,
     rigid_homomorphism_check,
     two_rel_homomorphisms,
@@ -25,6 +24,8 @@ from tilejep.unary import GUARD, canonical_A, canonical_B, stage_palette
 
 T1 = TilingProblem(1)
 JH = EncodingScheme(stage_palette("jhp"))
+# the jhp class's K4 and deformed-image rules, as its check runs them
+IMAGE_RULES = compile_jhp_class(T1).subset(["wheel-image"])
 
 
 # -- augmentation -------------------------------------------------------------
@@ -81,10 +82,10 @@ def test_w7_proper_images_are_biconnected():
 
 def test_image_check_examples():
     chord = wheel(7).with_edges([(1, 3)])
-    assert no_proper_image_check(chord, JH).status == FAIL
+    assert IMAGE_RULES.check(chord).status == FAIL
     dw, _, _ = disjoint_union(wheel(7), wheel(9))
-    assert no_proper_image_check(dw, JH).status == PASS
-    assert no_proper_image_check(complete_graph(4), JH).status == FAIL
+    assert IMAGE_RULES.check(dw).status == PASS
+    assert IMAGE_RULES.check(complete_graph(4)).status == FAIL
 
 
 def test_deformed_witness_agrees_with_hom_enumeration(rng):
@@ -124,7 +125,7 @@ def test_clean_wrap_images_are_allowed():
     # a larger odd wheel maps onto a smaller one rim-onto-rim; the image is
     # a plain wheel, so the deformed-image rule stays quiet
     host, _, _ = disjoint_union(wheel(5), wheel(9))
-    assert no_proper_image_check(host, JH).status == PASS
+    assert IMAGE_RULES.check(host).status == PASS
     assert homomorphisms(wheel(9), wheel(5), limit=1)
 
 
