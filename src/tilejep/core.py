@@ -186,12 +186,6 @@ class ColoredGraph:
     def sorted_vertices(self, vs: Iterable[VertexId]) -> list:
         return sorted(vs, key=self._index.__getitem__)
 
-    def sorted_edges(self) -> list:
-        return sorted(
-            (tuple(self.sorted_vertices(e)) for e in self._edges),
-            key=lambda e: (self._index[e[0]], self._index[e[1]]),
-        )
-
     def multicolored_vertices(self) -> list:
         return [v for v in self._vertices if len(self.colors(v)) > 1]
 

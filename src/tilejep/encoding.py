@@ -20,7 +20,7 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional
 
-from .core import ColoredGraph, blocks, cycle_graph, disjoint_union, pair
+from .core import ColoredGraph, blocks, cycle_graph, disjoint_union
 from .hereditary import (HereditaryClass, MembershipError, PatternFamily, SemanticRule, Violation,
                          monotone_ground)
 from .matching import (
@@ -108,10 +108,13 @@ class EncodingScheme:
 # --------------------------------------------------------------------------
 
 
-def _attach_wheel(verts, edges, colors, hub, size, tag):
+def _attach_wheel(verts, edges, taken, hub, size, tag):
+    """Attach a wheel rim of ``size`` around ``hub`` to ``verts`` and
+    ``edges``; a rim id already in ``taken`` gets an ``&`` suffix, and the
+    rim joins ``taken``."""
     rim = [f"{hub}{tag}{j}" for j in range(1, size + 1)]
-    taken = set(verts)
     rim = [r if r not in taken else f"{r}&" for r in rim]
+    taken.update(rim)
     verts.extend(rim)
     for r in rim:
         edges.append((hub, r))
@@ -132,10 +135,11 @@ def wedge_detailed(g: ColoredGraph, scheme: EncodingScheme) -> tuple:
             raise MembershipError(f"vertex {v!r} colored outside the scheme palette")
     verts = list(g.vertices)
     edges = [tuple(e) for e in g.edges]
+    taken = set(verts)
     record = {}
     for v in g.vertices:
         color = next(iter(g.colors(v)))
-        rim = _attach_wheel(verts, edges, {}, v, scheme.wheel_size(color), ".r")
+        rim = _attach_wheel(verts, edges, taken, v, scheme.wheel_size(color), ".r")
         record[v] = frozenset([v, *rim])
     out = ColoredGraph(verts, edges, name=f"wedge[{g.name}]")
     return out, record
@@ -522,44 +526,29 @@ def wedge_pattern(p: ConstraintPattern, scheme: EncodingScheme) -> Optional[Cons
     """Wedge image of a colored constraint pattern.
 
     Pattern vertices become hubs of fully induced wheel copies; original
-    required and forbidden pairs lift to the hub pairs; wheel interiors are
-    isolated from everything except their own wheel.  Patterns with
-    multicolored or uncolored vertices are not wedgeable and return None
-    (multicolored singletons are exactly the H2 guards; uncolored-vertex
-    patterns stay in the colored language).
+    required and forbidden pairs lift to the hub pairs; the rim vertices are
+    ``exact``, so each wheel is induced and its rim touches nothing outside
+    it.  The rims' forbidden pairs are implied, not stored; a bundle file
+    still lists every one as an ``f`` line, in the unchanged format.
+    Patterns with multicolored or uncolored vertices are not wedgeable and
+    return None (multicolored singletons are exactly the H2 guards;
+    uncolored-vertex patterns stay in the colored language).
     """
     g = p.pattern
     if any(len(g.colors(v)) != 1 for v in g.vertices):
         return None
     verts = list(g.vertices)
     edges = [tuple(e) for e in g.edges]
-    interiors = {}
+    taken = set(verts)
+    rims = []
     for v in g.vertices:
         color = next(iter(g.colors(v)))
         if color not in scheme.palette:
             return None
-        rim = _attach_wheel(verts, edges, {}, v, scheme.wheel_size(color), ".r")
-        interiors[v] = rim
+        rims += _attach_wheel(verts, edges, taken, v, scheme.wheel_size(color), ".r")
     graph = ColoredGraph(verts, edges, name=f"w:{p.name}")
-    own = {}
-    for v, rim in interiors.items():
-        own[v] = set(rim) | {v}
-        for r in rim:
-            own[r] = own[v]
-    edgeset = graph.edges
-    forb = [tuple(e) for e in p.forbidden]
-    for u, v in combinations(verts, 2):
-        if v in own.get(u, ()):  # same wheel: induced structure already fixed
-            if not graph.has_edge(u, v):
-                forb.append((u, v))
-            continue
-        hub_u = u in interiors
-        hub_v = v in interiors
-        if hub_u and hub_v:
-            continue  # hub-hub pairs keep the colored pattern's semantics
-        forb.append((u, v))  # at least one interior vertex: no outside contact
-    forb = [e for e in forb if pair(*e) not in edgeset]
-    return ConstraintPattern(graph, forb, name=f"w:{p.name}", constraint=f"w:{p.constraint}")
+    return ConstraintPattern(graph, p.forbidden, name=f"w:{p.name}", constraint=f"w:{p.constraint}",
+                             exact=rims)
 
 
 def _rule_pure_membership(problem: TilingProblem, scheme: EncodingScheme, colored: HereditaryClass) -> SemanticRule:
@@ -665,9 +654,10 @@ def complete_with_dummies(g: ColoredGraph, scheme: EncodingScheme) -> ColoredGra
         return g
     verts = list(g.vertices)
     edges = [tuple(e) for e in g.edges]
+    taken = set(verts)
     size = scheme.wheel_size(scheme.dummy)
     for v in bare:
-        _attach_wheel(verts, edges, {}, v, size, ".d")
+        _attach_wheel(verts, edges, taken, v, size, ".d")
     return ColoredGraph(verts, edges, name=f"complete[{g.name}]")
 
 

@@ -348,7 +348,9 @@ def run_yes_experiment(
 
     ``theta`` defaults to the periodic-search oracle's solution; an
     explicitly supplied map is validated instead (the searched one is not
-    always the map an experiment wants to showcase).
+    always the map an experiment wants to showcase): one that breaks the
+    rules is a failure, one that leaves a cell of the n x n window blank
+    certifies nothing and is indeterminate.
     """
     st = STAGES[stage]
     rep = ExperimentReport("yes", problem.describe(), stage, n)
@@ -368,6 +370,12 @@ def run_yes_experiment(
         if not ok:
             rep.status = "failure"
             rep.notes.append(f"supplied theta violates the rules: {bad[0]}")
+            return rep
+        blank = [(x, y) for y in range(n) for x in range(n) if theta.tile_at(x, y) is None]
+        if blank:
+            rep.status = "indeterminate"
+            rep.notes.append(f"supplied theta leaves {len(blank)} cells of the {n}x{n} window blank, "
+                             f"first {blank[0]}; it certifies no YES")
             return rep
     rep.timings["oracle"] = time.perf_counter() - t0
 

@@ -40,7 +40,8 @@ INDETERMINATE = "indeterminate"
 
 
 class MembershipError(ValueError):
-    """An operation required a class member and got a violator."""
+    """An input outside an operation's domain: a violator where a class member
+    is required, or a tiling map that leaves a needed cell blank."""
 
 
 @dataclass(frozen=True)

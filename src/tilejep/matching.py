@@ -54,9 +54,15 @@ class ConstraintPattern:
     The pattern's own edges are required.  ``forbidden`` pairs must map to
     non-edges of the host.  Everything else is don't-care.  ``constraint``
     tags the compiled constraint family a pattern belongs to.
+
+    ``exact`` vertices have exactly their prescribed adjacency: every pair
+    that touches one and is not a required edge is forbidden.  ``explicit``
+    holds the pairs given one by one; ``forbidden`` is those plus the pairs
+    the exact vertices imply, built on first read, so a writer can list an
+    exact vertex's pairs without building the set.
     """
 
-    __slots__ = ("name", "pattern", "forbidden", "constraint")
+    __slots__ = ("name", "pattern", "explicit", "exact", "constraint", "_forbidden")
 
     def __init__(
         self,
@@ -64,6 +70,7 @@ class ConstraintPattern:
         forbidden: Iterable[tuple] = (),
         name: str = "",
         constraint: str = "",
+        exact: Iterable = (),
     ):
         fset = set()
         for e in forbidden:
@@ -74,10 +81,28 @@ class ConstraintPattern:
         clash = fset & pattern.edges
         if clash:
             raise ValueError(f"forbidden pairs overlap required edges: {sorted(map(tuple, clash))!r}")
+        xs = frozenset(exact)
+        stray = xs.difference(pattern.vertices)
+        if stray:
+            raise ValueError(f"exact vertices not in pattern: {sorted(map(repr, stray))}")
         self.name = name or pattern.name
         self.pattern = pattern
-        self.forbidden = frozenset(fset)
+        self.explicit = frozenset(fset)
+        self.exact = xs
         self.constraint = constraint
+        self._forbidden = None if xs else self.explicit
+
+    @property
+    def forbidden(self) -> frozenset:
+        if self._forbidden is None:
+            self._forbidden = self.explicit | self._expand_exact()
+        return self._forbidden
+
+    def _expand_exact(self) -> set:
+        """The non-edges touching an exact vertex, as pairs."""
+        g = self.pattern
+        vs = set(g.vertices)
+        return {frozenset((u, v)) for u in self.exact for v in vs.difference(g.neighbors(u), (u,))}
 
     def __len__(self) -> int:
         return len(self.pattern)

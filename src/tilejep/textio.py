@@ -23,6 +23,9 @@ Patches serialize row-major with the y=0 row first, `.` for blank cells:
     <row y=0>            |  <row y=0>
     ...                  |  ...
 
+A pattern's ``exact`` vertices are written out as their implied ``f`` lines,
+so every forbidden pair is listed and the format is unchanged.
+
 Compiled classes serialize to a bundle directory: ``manifest.json`` plus one
 pattern file per constraint instance.  The manifest records each pattern
 file's tag, so a loaded class parses a tag's files only when that family is
@@ -39,6 +42,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from bisect import bisect_right
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
@@ -99,30 +103,52 @@ def _lines(text: str) -> list:
 # -- graphs and patterns ----------------------------------------------------
 
 
+def _index_pairs(g: ColoredGraph, pairs) -> list:
+    """``pairs`` of ``g``'s vertices as ascending index pairs, sorted."""
+    return sorted(tuple(sorted(map(g.index, e))) for e in pairs)
+
+
+def _body_lines(g: ColoredGraph) -> tuple:
+    """The ``v`` and ``e`` lines of ``g``, and its ids, each id validated
+    and formatted once."""
+    ids = [_fmt_id(v) for v in g.vertices]
+    lines = []
+    for v, s in zip(g.vertices, ids):
+        cs = sorted(g.colors(v))
+        lines.append(f"v {s} colors: {','.join(cs)}" if cs else f"v {s}")
+    lines += [f"e {ids[i]} {ids[j]}" for i, j in _index_pairs(g, g.edges)]
+    return lines, ids
+
+
+def _forbidden_rows(p: ConstraintPattern) -> list:
+    """Per vertex index i, the sorted indices j > i with (i, j) forbidden:
+    the explicit pairs plus each exact vertex's non-edges, expanded row by
+    row without building ``p.forbidden``."""
+    g = p.pattern
+    n = len(g)
+    exact = sorted(map(g.index, p.exact))
+    rows = [set() for _ in range(n)]
+    for i, j in _index_pairs(g, p.explicit):
+        rows[i].add(j)
+    for i, v in enumerate(g.vertices if exact else ()):
+        later = range(i + 1, n) if v in p.exact else exact[bisect_right(exact, i):]
+        rows[i].update(set(later).difference(map(g.index, g.neighbors(v))))
+    return [sorted(r) for r in rows]
+
+
 def graph_to_text(g: ColoredGraph, palette_size: int | None = None) -> str:
     lines = [f"graph {g.name or 'g'} palette={palette_size if palette_size is not None else 0}"]
-    for v in g.vertices:
-        cs = sorted(g.colors(v))
-        if cs:
-            lines.append(f"v {_fmt_id(v)} colors: {','.join(cs)}")
-        else:
-            lines.append(f"v {_fmt_id(v)}")
-    for u, v in g.sorted_edges():
-        lines.append(f"e {_fmt_id(u)} {_fmt_id(v)}")
+    lines += _body_lines(g)[0]
     return "\n".join(lines) + "\n"
 
 
 def pattern_to_text(p: ConstraintPattern, palette_size: int | None = None) -> str:
-    head = f"pattern {p.name or 'p'} palette={palette_size if palette_size is not None else 0}"
-    body = graph_to_text(p.pattern, palette_size).split("\n", 1)[1]
-    g = p.pattern
-    forb = sorted(
-        (tuple(g.sorted_vertices(e)) for e in p.forbidden),
-        key=lambda e: (g.index(e[0]), g.index(e[1])),
-    )
-    lines = [head, body.rstrip("\n")] if body.strip() else [head]
-    for u, v in forb:
-        lines.append(f"f {_fmt_id(u)} {_fmt_id(v)}")
+    lines = [f"pattern {p.name or 'p'} palette={palette_size if palette_size is not None else 0}"]
+    body, ids = _body_lines(p.pattern)
+    lines += body
+    for i, row in enumerate(_forbidden_rows(p)):
+        head = f"f {ids[i]} "
+        lines += [head + ids[j] for j in row]
     if p.constraint:
         lines.append(f"constraint {p.constraint}")
     return "\n".join(lines) + "\n"

@@ -28,7 +28,8 @@ from itertools import combinations, product
 from typing import Iterable
 
 from .core import ColoredGraph, disjoint_union, independent_partitions, pair
-from .hereditary import HereditaryClass, PatternFamily, SemanticRule, Violation, monotone_ground
+from .hereditary import (HereditaryClass, MembershipError, PatternFamily, SemanticRule, Violation,
+                         monotone_ground)
 from .matching import ConstraintPattern, SearchBudget
 from .tiling import Patch, TilingMap, TilingProblem
 
@@ -1117,7 +1118,7 @@ def tiling_pairs(a: ColoredGraph, b: ColoredGraph, theta: TilingMap, problem: Ti
             n, m = coords_src[gv]
             k = theta.tile_at(n, m)
             if k is None:
-                raise ValueError(f"theta undefined at coordinates ({n},{m})")
+                raise MembershipError(f"tiling map undefined at coordinates ({n},{m})")
             pairs += [(t, gv) if flip else (gv, t) for t in tiles_at.get(((n, m), k), ())]
     return pairs
 

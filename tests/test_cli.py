@@ -67,6 +67,28 @@ def test_experiment_with_explicit_theta(specs, tmp_path):
     assert code == 0
 
 
+def test_experiment_with_a_theta_short_of_the_window(specs, capsys):
+    # a 1x1 patch leaves three cells of the depth-2 window blank: no YES is
+    # certified, and no traceback
+    small = specs / "small.map"
+    small.write_text("patch 1 1\n1\n")
+    assert run("experiment", "yes", "--depth", "2", "--theta", small, specs / "free.txt") == 2
+    out = capsys.readouterr().out
+    assert "status:     indeterminate" in out and "window blank" in out
+
+
+def test_jointembed_with_a_theta_short_of_the_window(specs, capsys):
+    small = specs / "small.map"
+    small.write_text("patch 1 1\n1\n")
+    a, b = specs / "A.graph", specs / "B.graph"
+    assert run("canon", "--model", "A", "--depth", "2", specs / "free.txt", "-o", a) == 0
+    assert run("canon", "--model", "B", "--depth", "2", specs / "free.txt", "-o", b) == 0
+    capsys.readouterr()
+    assert run("jointembed", "--theta", small, specs / "free.txt", a, b, "-o", specs / "C.graph") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "undefined at coordinates" in err, err
+
+
 def test_usage_errors(specs, capsys):
     assert run("nonsense") == 3
     assert run("canon", "--model", "Q", "--depth", "1", specs / "free.txt", "-o", "x") == 3

@@ -1,10 +1,13 @@
 """Stage-2 encoding: wheels, wedge/vee, guard constraints, the pure class,
 and the completion-based joint-embedding procedure."""
 
+from itertools import combinations
+
 import pytest
 
 from tilejep.core import ColoredGraph, blocks, disjoint_union, is_isomorphic
 from tilejep.encoding import (
+    WEDGE_CAP,
     EncodingScheme,
     compile_colored_class,
     compile_pure_class,
@@ -15,10 +18,13 @@ from tilejep.encoding import (
     vee,
     wedge,
     wedge_detailed,
+    wedge_pattern,
+    wedged_size,
     wheel,
 )
 from tilejep.hereditary import HereditaryClass, MembershipError
 from tilejep.matching import SearchBudget, contains_induced, match_pattern
+from tilejep.textio import pattern_from_text, pattern_to_text
 from tilejep.tiling import TilingProblem, solve_periodic
 from tilejep.unary import canonical_A, canonical_B, extract_tiling, stage_palette
 from tests.conftest import random_single_colored
@@ -432,3 +438,100 @@ def test_wheel_shape_rule_agrees_on_encoded_d1_shadows(stage):
     verdicts = _wheel_shape_routes(compile_colored_class(t, stage))
     for g in (wa, wb, joint):
         assert verdicts(vee(g, scheme)) == (False, False), g.name
+
+
+# -- wheel attachment and exact rims -------------------------------------------
+
+CHECKER = TilingProblem(2, h_forbidden={(1, 1), (2, 2)}, v_forbidden={(1, 1), (2, 2)})
+THREE = TilingProblem(2, h_forbidden={(1, 1), (1, 2), (2, 2)})
+
+
+def _old_attach_wheel(verts, edges, hub, size, tag):
+    # the attachment as it was, rebuilding the taken ids on every call
+    rim = [f"{hub}{tag}{j}" for j in range(1, size + 1)]
+    taken = set(verts)
+    rim = [r if r not in taken else f"{r}&" for r in rim]
+    verts.extend(rim)
+    for r in rim:
+        edges.append((hub, r))
+    for j in range(size):
+        edges.append((rim[j], rim[(j + 1) % size]))
+    return rim
+
+
+def _old_wedge(g, scheme):
+    verts, edges = list(g.vertices), [tuple(e) for e in g.edges]
+    interiors = {v: _old_attach_wheel(verts, edges, v, scheme.wheel_size(next(iter(g.colors(v)))), ".r")
+                 for v in g.vertices}
+    return ColoredGraph(verts, edges), interiors
+
+
+def _old_completion(g, scheme):
+    covered = set().union(*(blk for _, blk, _ in find_free_wheel_copies(g, scheme.sizes())))
+    verts, edges = list(g.vertices), [tuple(e) for e in g.edges]
+    for v in g.vertices:
+        if v not in covered:
+            _old_attach_wheel(verts, edges, v, scheme.wheel_size(scheme.dummy), ".d")
+    return ColoredGraph(verts, edges)
+
+
+def _old_wedge_forbidden(p, scheme):
+    # the all-pairs construction of a wedged pattern's forbidden pairs
+    graph, interiors = _old_wedge(p.pattern, scheme)
+    own = {}
+    for v, rim in interiors.items():
+        own[v] = set(rim) | {v}
+        for r in rim:
+            own[r] = own[v]
+    forb = set(p.forbidden)
+    for u, v in combinations(graph.vertices, 2):
+        if v in own.get(u, ()):
+            if not graph.has_edge(u, v):
+                forb.add(frozenset((u, v)))
+        elif not (u in interiors and v in interiors):
+            forb.add(frozenset((u, v)))
+    return forb - graph.edges
+
+
+def test_a_rim_id_already_in_the_host_gets_the_suffix():
+    g = ColoredGraph(["x", "x.r1"], [], {"x": {"red"}, "x.r1": {"red"}})
+    w = wedge(g, SMALL)
+    assert w.has_edge("x", "x.r1&") and not w.has_edge("x", "x.r1")
+    assert w.has_edge("x.r1", "x.r1.r1") and len(w) == 2 + 2 * 7
+
+
+@pytest.mark.parametrize("stage", ["pure", "jhp"])
+def test_wedge_and_completion_ids_match_the_old_attachment(stage):
+    from tilejep.jhp import augment
+
+    scheme = EncodingScheme(stage_palette(stage))
+    for g in (canonical_A(2, CHECKER), canonical_B(2, CHECKER)):
+        if stage == "jhp":
+            g = augment(g).graph
+        assert wedge(g, scheme) == _old_wedge(g, scheme)[0]
+        bare = ColoredGraph(g.vertices, g.edges)
+        assert complete_with_dummies(bare, scheme) == _old_completion(bare, scheme)
+
+
+@pytest.mark.parametrize("stage", ["pure", "jhp"])
+@pytest.mark.parametrize("name", ["three", "checker"])
+def test_exact_rims_forbid_the_old_all_pairs(name, stage):
+    problem = {"three": THREE, "checker": CHECKER}[name]
+    scheme = EncodingScheme(stage_palette(stage))
+    colored = compile_colored_class(problem, stage)
+    seen = 0
+    for f in colored.families:
+        if f.tag == "wheel-shape":
+            continue
+        for p in f.patterns:
+            size = wedged_size(p, scheme)
+            if size is None or size > WEDGE_CAP:
+                continue
+            wp = wedge_pattern(p, scheme)
+            assert wp.explicit == p.forbidden
+            assert wp.forbidden == _old_wedge_forbidden(p, scheme), wp.name
+            back = pattern_from_text(pattern_to_text(wp))
+            assert (back.forbidden, back.pattern.edges) == (wp.forbidden, wp.pattern.edges)
+            seen += 1
+    pure = compile_pure_class(problem, stage)
+    assert seen == sum(f.tag.startswith("w:") and len(f.patterns) for f in pure.families) > 0

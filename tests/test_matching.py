@@ -19,7 +19,7 @@ from tilejep.matching import (
 from tests.conftest import random_colored_graph
 
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 
 def test_single_edge_on_triangle_has_six_embeddings():
@@ -124,6 +124,45 @@ def test_expand_cap_errors_with_pattern_name():
     with pytest.raises(ExpansionCapError) as ei:
         expand_noninduced(p, cap=5)
     assert "bigdc" in str(ei.value)
+
+
+def test_exact_vertex_outside_the_pattern_rejected():
+    with pytest.raises(ValueError, match="exact vertices not in pattern"):
+        ConstraintPattern(ColoredGraph(["u", "v"]), exact=["w"])
+
+
+def test_exact_vertices_imply_their_non_edges():
+    g = ColoredGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
+    p = ConstraintPattern(g, [("c", "d")], exact=["a"])
+    assert p.explicit == {frozenset("cd")}
+    assert p.forbidden == {frozenset("cd"), frozenset("ac"), frozenset("ad")}
+
+
+def test_exact_pattern_matches_like_its_explicit_twin():
+    # hosts up to the pure class's pattern host cap: wedged random graphs,
+    # some with a few extra edges touching the rims
+    from tilejep.encoding import EncodingScheme, compile_pure_class, wedge, wedge_pattern
+    from tilejep.tiling import TilingProblem
+    from tests.conftest import random_single_colored
+
+    rng = random.Random(7)
+    cap = compile_pure_class(TilingProblem(1)).meta["pattern_host_cap"]
+    scheme = EncodingScheme(("c0", "c1", "d"))
+    found = set()
+    for _ in range(40):
+        col = random_single_colored(rng, n_max=2, palette=("c0", "c1"))
+        nonedges = [(u, v) for u, v in combinations(col.vertices, 2) if not col.has_edge(u, v)]
+        wp = wedge_pattern(ConstraintPattern(col, nonedges[: rng.randint(0, len(nonedges))]), scheme)
+        twin = ConstraintPattern(wp.pattern, wp.forbidden)
+        assert wp.exact and not twin.exact and twin.forbidden == wp.forbidden
+        host = wedge(random_single_colored(rng, n_max=3, palette=("c0", "c1")), scheme)
+        assert len(host) <= cap
+        extra = [e for e in combinations(host.vertices, 2) if not host.has_edge(*e)]
+        host = host.with_edges(rng.sample(extra, rng.choice((0, 0, 1, 3))))
+        ms = match_pattern(wp, host)
+        assert ms == match_pattern(twin, host)
+        found.add(bool(ms))
+    assert found == {True, False}
 
 
 def test_match_equals_expansion_oracle_on_random_graphs():

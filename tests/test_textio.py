@@ -56,6 +56,29 @@ def test_pattern_round_trip():
     assert p2.constraint == "c8"
 
 
+def test_exact_vertices_are_written_as_their_f_lines():
+    g = ColoredGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c")], {"a": {"grid0"}})
+    p = ConstraintPattern(g, [("d", "b")], name="pat", constraint="c8", exact=["c"])
+    twin = ConstraintPattern(g, p.forbidden, name="pat", constraint="c8")
+    assert pattern_to_text(p, 11) == pattern_to_text(twin, 11)
+    assert pattern_from_text(pattern_to_text(p, 11)).forbidden == p.forbidden
+
+
+def test_writing_the_pure_bundle_never_expands_exact_vertices(tmp_path, monkeypatch):
+    # every wedged pattern of *three* goes to its f lines without building
+    # its forbidden set (419,902 pairs over the bundle)
+    from tilejep.encoding import compile_pure_class
+
+    def refuse(self):
+        raise AssertionError(f"{self.name}: exact vertices expanded")
+
+    monkeypatch.setattr(ConstraintPattern, "_expand_exact", refuse)
+    cls = compile_pure_class(TilingProblem(2, h_forbidden={(1, 1), (1, 2), (2, 2)}))
+    write_bundle(tmp_path, cls)
+    assert len(list(tmp_path.glob("*.pat"))) == 175
+    assert sum(bool(p.exact) for p in cls.patterns) > 0
+
+
 def test_graph_text_rejects_pattern_lines():
     text = "graph g palette=0\nv a\nv b\nf a b\n"
     with pytest.raises(FormatError):
