@@ -201,10 +201,19 @@ class ColoredGraph:
         )
 
     def with_edges(self, extra: Iterable[tuple], name: str = "") -> "ColoredGraph":
-        es = set(self._edges)
+        """This graph plus the ``extra`` edges.  Only the new edges are
+        validated; the vertices, index and colours are shared, and no memo
+        is carried over."""
+        new = set()
         for u, v in extra:
-            es.add(pair(u, v))
-        return ColoredGraph(self._vertices, es, self._colors, name=name or self.name)
+            if u not in self._index or v not in self._index:
+                raise ValueError(f"edge endpoint not declared: {(u, v)!r}")
+            new.add(pair(u, v))
+        out = ColoredGraph.__new__(ColoredGraph)
+        out.name = name or self.name
+        out._vertices, out._index, out._colors = self._vertices, self._index, self._colors
+        out._edges = self._edges | new
+        return out
 
     def recolored(self, colors: Mapping[VertexId, Iterable[str]], name: str = "") -> "ColoredGraph":
         return ColoredGraph(self._vertices, self._edges, colors, name=name or self.name)
@@ -427,13 +436,12 @@ def _connected_order(g: ColoredGraph) -> list:
             continue
         queue = [root]
         placed.add(root)
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
+        for v in queue:
             for w in g.neighbors(v):
                 if w not in placed:
                     placed.add(w)
                     queue.append(w)
+        order += queue
     return order
 
 

@@ -11,6 +11,12 @@ The guard families H1 (no foreign edge into a wheel interior) and H2 (no
 two wheels sharing a hub) police the encoding; a designated dummy color,
 used by the completion step of the joint-embedding procedure, appears in no
 other constraint.
+
+Every wheel question about a pure graph - which wheel copies are free (and
+so what ``vee`` decodes), the guards, the colored wheel-shape rule and,
+in the homomorphism stage, deformed images and K4 - is answered from one
+pass over its vertex neighbourhoods, ``neighborhood_profile``, memoised on
+the graph.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional
 
-from .core import ColoredGraph, blocks, cycle_graph, disjoint_union
+from .core import ColoredGraph, cycle_graph, disjoint_union
 from .hereditary import (HereditaryClass, MembershipError, PatternFamily, SemanticRule, Violation,
                          monotone_ground)
 from .matching import (
@@ -150,80 +156,45 @@ def wedge(g: ColoredGraph, scheme: EncodingScheme) -> ColoredGraph:
     return wedge_detailed(g, scheme)[0]
 
 
-def _rim_is_cycle(g: ColoredGraph, rim: set) -> bool:
-    if any(sum(1 for w in g.neighbors(v) if w in rim) != 2 for v in rim):
-        return False
-    start = next(iter(rim))
-    first = [w for w in g.neighbors(start) if w in rim][0]
-    seen = {start, first}
-    prev, cur = start, first
-    while True:
-        nxt = [w for w in g.neighbors(cur) if w in rim and w != prev]
-        if len(nxt) != 1:
-            return False
-        prev, cur = cur, nxt[0]
-        if cur == start:
-            return len(seen) == len(rim)
-        if cur in seen:
-            return False
-        seen.add(cur)
+def find_free_wheel_copies(g: ColoredGraph, sizes: Iterable[int],
+                           budget: SearchBudget | None = None) -> list:
+    """Wheel copies free over their basepoints, read off the memoised
+    ``neighborhood_profile``.
 
-
-def _block_as_wheel(g: ColoredGraph, blk: frozenset) -> Optional[tuple]:
-    """If the block induces exactly a wheel, return (hub, rim size)."""
-    m = len(blk) - 1
-    if m < 4:
-        return None
-    indeg = {}
-    for v in blk:
-        indeg[v] = sum(1 for w in g.neighbors(v) if w in blk)
-    hubs = [v for v in blk if indeg[v] == m]
-    if len(hubs) != 1:
-        return None
-    hub = hubs[0]
-    rim = set(blk) - {hub}
-    if any(indeg[v] != 3 for v in rim):
-        return None
-    if not _rim_is_cycle(g, rim):
-        return None
-    return hub, m
-
-
-def find_free_wheel_copies(g: ColoredGraph, sizes: Iterable[int]) -> list:
-    """Wheel copies free over their basepoints, detected block-wise.
-
-    A copy is free when its block induces exactly a wheel of one of the
-    given rim sizes and no rim vertex has edges outside the block; only the
-    hub may touch the rest of the graph.  Returns (hub, vertex set, size)
-    triples in deterministic order.  The free copies of every size are
-    memoised on the graph, as ``neighborhood_profile`` is.
+    A copy is free when it induces exactly a wheel of one of the given rim
+    sizes and no rim vertex has edges outside it; only the hub may touch the
+    rest of the graph.  Such a rim is a plain-cycle component of the hub's
+    neighbourhood with at least 4 vertices, each of degree 3 (the same copies
+    a block decomposition finds as wheel blocks with degree-3 rims).
+    Returns (hub, vertex set, size) triples ordered by the smallest vertex
+    index of the copy, then of its rim.
     """
-    if "_free_wheel_copies" not in g.__dict__:
-        copies = []
-        for blk in blocks(g):
-            res = _block_as_wheel(g, blk)
-            if res is not None and all(g.degree(v) == 3 for v in blk if v != res[0]):
-                copies.append((res[0], blk, res[1]))
-        g.__dict__["_free_wheel_copies"] = copies
     wanted = set(sizes)
-    return [c for c in g.__dict__["_free_wheel_copies"] if c[2] in wanted]
+    adjacency = g.adjacency
+    rims = [(x, comp) for x, comp in neighborhood_profile(g, budget)["cycles"]
+            if len(comp) >= 4 and len(comp) in wanted and all(len(adjacency[r]) == 3 for r in comp)]
+    # profile components are index-sorted, so comp[0] is the rim's first vertex
+    rims.sort(key=lambda xc: (min(g.index(xc[0]), g.index(xc[1][0])), g.index(xc[1][0])))
+    return [(x, frozenset((x, *comp)), len(comp)) for x, comp in rims]
 
 
-def vee(g: ColoredGraph, scheme: EncodingScheme) -> ColoredGraph:
+def vee(g: ColoredGraph, scheme: EncodingScheme, budget: SearchBudget | None = None) -> ColoredGraph:
     """Decode a pure graph: keep basepoints of free wheel copies, colored by
     their wheel size, with induced edges; forget everything else.
 
     Partial recognition on arbitrary graphs: vertices in no free copy are
     dropped, and a hub carrying several free copies keeps all their colors.
+    The copies come from the neighbourhood profile, built under ``budget``
+    when not yet memoised.
     """
-    copies = find_free_wheel_copies(g, scheme.sizes())
+    copies = find_free_wheel_copies(g, scheme.sizes(), budget)
     colors: dict = {}
     for hub, _, m in copies:
         color = scheme.color_of_size(m)
         colors.setdefault(hub, set()).add(color)
     keep = [v for v in g.vertices if v in colors]
     keepset = set(keep)
-    edges = [tuple(e) for e in g.edges if set(e) <= keepset]
+    edges = [tuple(e) for e in g.edges if e <= keepset]
     return ColoredGraph(keep, edges, colors, name=f"vee[{g.name}]")
 
 
@@ -310,8 +281,7 @@ def _odd_girth_within(adj: dict, comp) -> float:
     for s in comp:
         dist = {s: 0}
         queue = [s]
-        while queue:
-            x = queue.pop(0)
+        for x in queue:
             for y in adj[x]:
                 if y not in dist:
                     dist[y] = dist[x] + 1
@@ -348,11 +318,15 @@ def neighborhood_profile(g: ColoredGraph, budget: SearchBudget | None = None) ->
 
     Returns ``{"cycles": [(x, comp)], "odd": [(x, comp, odd_girth)]}``:
     components inducing plain cycles, and non-bipartite components that are
-    not cycles (with their odd girth).  Wheel homomorphic images and the
-    guard configurations both live inside closed neighborhoods, so this one
-    pass answers every wheel-shaped question about the host.  Neighborhood
-    subgraphs are read off adjacency lists, keeping the pass near-linear in
-    the sum of squared degrees.
+    not cycles (with their odd girth), by x in vertex order and then by each
+    component's first vertex; each comp is index-sorted.  Wheel homomorphic
+    images, free wheel copies (``find_free_wheel_copies``), the guard
+    configurations and K4 (a triangle in some neighbourhood) all live inside
+    closed neighborhoods, so this one pass answers every wheel-shaped
+    question about the host.  Neighborhood subgraphs are read off adjacency
+    lists, keeping the pass near-linear in the sum of squared degrees.  One
+    budget node per neighbour of each vertex of degree 2 or more; an
+    exhausted budget raises and memoises nothing.
     """
     if "_neighborhood_profile" in g.__dict__:
         return g.__dict__["_neighborhood_profile"]
@@ -361,10 +335,19 @@ def neighborhood_profile(g: ColoredGraph, budget: SearchBudget | None = None) ->
     cycles = []
     odd = []
     for x in g.vertices:
-        nb = set(adjacency[x])
-        if len(nb) < 2:
+        ns = adjacency[x]
+        if len(ns) < 2:
             continue
-        local = {u: [w for w in adjacency[u] if w in nb] for u in nb}
+        if len(ns) <= 3:
+            # only three pairwise adjacent neighbours make an entry here;
+            # the later two are mostly rim vertices, with short lists
+            budget.spend(len(ns))
+            if len(ns) == 3 and ns[2] in adjacency[ns[1]] and ns[0] in adjacency[ns[1]] \
+                    and ns[0] in adjacency[ns[2]]:
+                cycles.append((x, ns))
+            continue
+        nb = set(ns)
+        local = {u: [w for w in adjacency[u] if w in nb] for u in ns}
         for comp in _local_components(local):
             budget.spend(len(comp))
             cadj = {u: local[u] for u in comp}
@@ -562,7 +545,7 @@ def _rule_pure_membership(problem: TilingProblem, scheme: EncodingScheme, colore
     """
 
     def fn(g: ColoredGraph, budget: SearchBudget) -> list:
-        shadow = vee(g, scheme)
+        shadow = vee(g, scheme, budget)
         report = colored.check(shadow, budget=budget)
         out = []
         for v in report.violations:

@@ -149,11 +149,20 @@ def proper_hom_images(w: ColoredGraph, size_cap: int = 200_000, dedup: bool = Tr
 
 
 def contains_k4(g: ColoredGraph, budget: SearchBudget | None = None) -> Optional[tuple]:
-    """First 4-clique in vertex order, or None.  Memoized on the graph."""
+    """First 4-clique in vertex order, or None.  Memoized on the graph.
+
+    Decided by the neighbourhood profile: g has a K4 exactly when some
+    neighbourhood holds a triangle, that is a 3-vertex plain-cycle component
+    or an odd component of odd girth 3.  Only then does the edge scan run,
+    for the witness.
+    """
     if "_k4_witness" in g.__dict__:
         return g.__dict__["_k4_witness"]
     budget = budget or SearchBudget()
-    result = _scan_k4(g, budget)
+    profile = neighborhood_profile(g, budget)
+    has = (any(len(comp) == 3 for _, comp in profile["cycles"])
+           or any(girth == 3 for _, _, girth in profile["odd"]))
+    result = _scan_k4(g, budget) if has else None
     g.__dict__["_k4_witness"] = result
     return result
 
@@ -200,8 +209,8 @@ def deformed_image_witness(
 
 def _rule_no_proper_images(scheme: EncodingScheme) -> tuple:
     """One deformed-image rule per scheme wheel.  Each also decides K4 from
-    the memoised scan, since the image test presumes a K4-free host; the
-    K4 pattern is the cross-check."""
+    the memoised ``contains_k4``, since the image test presumes a K4-free
+    host; the K4 pattern is the cross-check."""
     rules = []
     for color in scheme.palette:
         m = scheme.wheel_size(color)
@@ -236,8 +245,9 @@ def compile_jhp_class(problem: TilingProblem) -> HereditaryClass:
     """The stage-3 pure-graph class: the stage-2 compilation over the palette
     extended with the guard color, united with the K4 prohibition and the
     deformed-wheel-image rules.  Rules decide every tag (K4 by the
-    deformed-image rules' scan), so neither the compile nor ``check``
-    builds a pattern; the K4 family comes after the stage-2 families."""
+    deformed-image rules, read off the neighbourhood profile), so neither
+    the compile nor ``check`` builds a pattern; the K4 family comes after
+    the stage-2 families."""
     scheme = EncodingScheme(stage_palette("jhp"))
     base = compile_pure_class(problem, stage="jhp")
     return HereditaryClass(

@@ -54,7 +54,7 @@ from tilejep.unary import (
     extract_tiling,
     joint_embed_unary,
 )
-from tests.conftest import random_colored_graph, random_single_colored
+from tests.conftest import random_colored_graph, random_single_colored, wheel_copies_by_blocks
 
 
 def _report(num, ok, detail):
@@ -307,6 +307,7 @@ def test_criterion_8_procedure_closure():
             assert contains_k4(out) is None
             # every triangle lies inside a recognized wheel copy
             copies = find_free_wheel_copies(out, (5,) + scheme.sizes())
+            assert copies == wheel_copies_by_blocks(out, (5,) + scheme.sizes())
             cover = [blk for _, blk, _ in copies]
             adj = {v: set(out.neighbors(v)) for v in out.vertices}
             for v in out.vertices:

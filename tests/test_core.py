@@ -22,7 +22,8 @@ from tilejep.core import (
     is_isomorphic,
     path_graph,
 )
-from tilejep.encoding import wheel
+from tilejep.encoding import neighborhood_profile, wheel
+from tilejep.hereditary import HereditaryClass
 
 
 def test_basic_invariants():
@@ -90,6 +91,24 @@ def test_non_cut_vertex_removal_keeps_block_connected():
         for v in b:
             rest = sub.induced(set(b) - {v})
             assert len(connected_components(rest)) == 1
+
+
+def test_with_edges_equals_a_rebuild_and_carries_no_memo():
+    g = ColoredGraph(["a", "b", "c", "d"], [("a", "b")], {"a": {"red"}, "d": {"blue"}}, name="g")
+    g.adjacency
+    neighborhood_profile(g)
+    HereditaryClass("all", (), (), (), {}).check(g)
+    extra = [("b", "c"), ("c", "a"), ("b", "a")]
+    h = g.with_edges(extra)
+    assert h == ColoredGraph(g.vertices, set(g.edges) | set(extra), g.color_map)
+    assert h.name == "g" and g.with_edges([], name="h").name == "h"
+    for memo in ("_neighborhood_profile", "_membership_memo", "adjacency"):
+        assert memo in g.__dict__ and memo not in h.__dict__
+    assert h.neighbors("c") == ("a", "b") and g.neighbors("c") == ()
+    with pytest.raises(ValueError):
+        g.with_edges([("a", "a")])
+    with pytest.raises(ValueError):
+        g.with_edges([("a", "z")])
 
 
 def test_disjoint_union_counts():

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from tilejep.core import ColoredGraph, blocks, disjoint_union, is_isomorphic
+from tilejep.core import ColoredGraph, blocks, complete_graph, disjoint_union, free_join, is_isomorphic
 from tilejep.encoding import (
     WEDGE_CAP,
     EncodingScheme,
@@ -15,6 +15,7 @@ from tilejep.encoding import (
     complete_with_dummies,
     find_free_wheel_copies,
     guard_constraints,
+    neighborhood_profile,
     vee,
     wedge,
     wedge_detailed,
@@ -22,12 +23,12 @@ from tilejep.encoding import (
     wedged_size,
     wheel,
 )
-from tilejep.hereditary import HereditaryClass, MembershipError
+from tilejep.hereditary import INDETERMINATE, HereditaryClass, MembershipError
 from tilejep.matching import SearchBudget, contains_induced, match_pattern
 from tilejep.textio import pattern_from_text, pattern_to_text
 from tilejep.tiling import TilingProblem, solve_periodic
 from tilejep.unary import canonical_A, canonical_B, extract_tiling, stage_palette
-from tests.conftest import random_single_colored
+from tests.conftest import random_single_colored, wheel_copies_by_blocks
 
 SMALL = EncodingScheme(("red", "green", "blue", "dummy"))  # wheels W7..W13
 
@@ -535,3 +536,95 @@ def test_exact_rims_forbid_the_old_all_pairs(name, stage):
             seen += 1
     pure = compile_pure_class(problem, stage)
     assert seen == sum(f.tag.startswith("w:") and len(f.patterns) for f in pure.families) > 0
+
+
+# -- wheel copies and K4 from the neighbourhood profile ------------------------
+
+
+def _encoded_checker_d2(stage):
+    from tilejep.jhp import augment
+
+    scheme = EncodingScheme(stage_palette(stage))
+    a, b = (canonical_A(2, CHECKER), canonical_B(2, CHECKER))
+    if stage == "jhp":
+        a, b = augment(a).graph, augment(b).graph
+    return scheme, wedge(a, scheme), wedge(b, scheme)
+
+
+@pytest.mark.parametrize("stage", ["pure", "jhp"])
+def test_profile_wheel_copies_match_the_blocks_on_checker_d2(stage):
+    scheme, a, b = _encoded_checker_d2(stage)
+    joint = complete_and_joint_embed_pure(a, b, CHECKER, solve_periodic(CHECKER, 4), stage=stage, check=False)
+    sizes = (5,) + scheme.sizes()
+    for g in (a, b, joint):
+        got = find_free_wheel_copies(g, sizes)
+        assert got and got == wheel_copies_by_blocks(g, sizes), g.name
+
+
+def _reordered(g, order):
+    return ColoredGraph(order, g.edges, g.color_map, name=g.name)
+
+
+def _hand_wheel_hosts():
+    two = free_join(wheel(7), wheel(9), [(0, 0)], name="two-on-one-hub")[0]
+    rim_first = [v for v in two.vertices if v != 0]
+    pendant = wheel(7)
+    pendant = ColoredGraph([*pendant.vertices, "x"], [*map(tuple, pendant.edges), ("x", 3)], name="pendant")
+    return [
+        two,
+        # the 9-rim first, then the hub, then the 7-rim
+        _reordered(two, rim_first[7:] + [0] + rim_first[:7]),
+        pendant,
+        wheel(7).with_edges([(1, 3)], name="chord"),
+        wheel(4),
+        complete_graph(4),
+        _reordered(wheel(7), [3, 1, 0, 2, 4, 5, 6, 7]),
+        _reordered(two, rim_first + [0]),
+        disjoint_union(wheel(7), wheel(11))[0],
+    ]
+
+
+@pytest.mark.parametrize("sizes", [(5,) + SMALL.sizes(), (3, 4, 5, 7, 9)])
+def test_profile_wheel_copies_match_the_blocks_on_hand_cases(sizes):
+    hosts = _hand_wheel_hosts()
+    for g in hosts:
+        assert find_free_wheel_copies(g, sizes) == wheel_copies_by_blocks(g, sizes), g.name
+    # one hub, two copies: ordered by each rim's first vertex
+    assert [m for _, _, m in find_free_wheel_copies(hosts[0], sizes)] == [m for m in (7, 9) if m in sizes]
+    assert [m for _, _, m in find_free_wheel_copies(hosts[1], sizes)] == [m for m in (9, 7) if m in sizes]
+    assert find_free_wheel_copies(complete_graph(4), sizes) == []
+
+
+def test_profile_wheel_copies_match_the_blocks_on_perturbed_wedges(rng):
+    for _ in range(40):
+        gw = wedge(random_single_colored(rng, n_max=5, palette=("red", "green")), SMALL)
+        verts = list(gw.vertices)
+        extra = [tuple(rng.sample(verts, 2)) for _ in range(rng.choice((0, 1, 2)))]
+        host = _reordered(gw.with_edges(extra), rng.sample(verts, len(verts)))
+        sizes = (5,) + SMALL.sizes()
+        assert find_free_wheel_copies(host, sizes) == wheel_copies_by_blocks(host, sizes)
+
+
+def test_odd_girth_of_odd_cycles():
+    from tilejep.encoding import _odd_girth_within
+
+    for k in (1, 2, 3, 6, 20):
+        n = 2 * k + 1
+        adj = {i: [(i - 1) % n, (i + 1) % n] for i in range(n)}
+        assert _odd_girth_within(adj, list(adj)) == n
+    even = {i: [(i - 1) % 8, (i + 1) % 8] for i in range(8)}
+    assert _odd_girth_within(even, list(even)) == float("inf")
+
+
+@pytest.mark.parametrize("stage", ["pure", "jhp"])
+def test_an_exhausted_budget_memoises_no_partial_profile(stage):
+    from tilejep.jhp import augment
+    from tilejep.stages import STAGES
+
+    cls = STAGES[stage].compile(CHECKER)
+    g = canonical_B(1, CHECKER)
+    g = wedge(augment(g).graph if stage == "jhp" else g, EncodingScheme(stage_palette(stage)))
+    assert cls.check(g, budget=SearchBudget(10)).status == INDETERMINATE
+    assert "_neighborhood_profile" not in g.__dict__
+    assert cls.check(g).ok
+    assert neighborhood_profile(g) is g.__dict__["_neighborhood_profile"]

@@ -4,10 +4,11 @@ and the edge/non-edge language reduction."""
 from itertools import combinations
 
 from tilejep.core import ColoredGraph, complete_graph, disjoint_union, is_biconnected, is_isomorphic
-from tilejep.encoding import EncodingScheme, wedge, wheel
+from tilejep.encoding import EncodingScheme, neighborhood_profile, wedge, wheel
 from tilejep.hereditary import FAIL, PASS
 from tilejep.jhp import (
     TwoRelStructure,
+    _scan_k4,
     augment,
     compile_jhp_class,
     contains_k4,
@@ -305,3 +306,51 @@ def test_jhp_tile_side_member_at_depth_two():
     scheme = EncodingScheme(tuple(cls.meta["scheme_palette"]))
     g = wedge(augment(canonical_B(2, T1)).graph, scheme)
     assert cls.check(g).ok
+
+
+# -- K4 from the neighbourhood profile -------------------------------------------
+
+
+def _k4_kinds(g):
+    """Where the profile sees a triangle: in a plain 3-cycle component of
+    some neighbourhood, and in a larger odd component."""
+    profile = neighborhood_profile(g)
+    return ({"triangle"} if any(len(c) == 3 for _, c in profile["cycles"]) else set()) | \
+        ({"odd"} if any(girth == 3 for _, _, girth in profile["odd"]) else set())
+
+
+def test_k4_decision_matches_the_edge_scan(rng):
+    seen = set()
+    for i in range(400):
+        n = rng.randint(4, 11)
+        names = [f"v{j}" for j in rng.sample(range(n), n)]
+        p = rng.choice((0.2, 0.35, 0.5, 0.7))
+        edges = [(u, v) for u, v in combinations(names, 2) if rng.random() < p]
+        if i % 4 == 0:
+            # a lone K4 on a random quadruple, whose neighbourhoods are plain triangles
+            quad = rng.sample(names, 4)
+            edges = [e for e in edges if not set(e) & set(quad)] + list(combinations(quad, 2))
+        g = ColoredGraph(names, edges)
+        want = _scan_k4(ColoredGraph(names, edges), SearchBudget())
+        assert contains_k4(g) == want
+        assert bool(want) == bool(_k4_kinds(g))
+        seen |= _k4_kinds(g)
+    assert seen == {"triangle", "odd"}
+    assert contains_k4(complete_graph(4)) == (0, 1, 2, 3)
+    assert _k4_kinds(complete_graph(4)) == {"triangle"}
+    assert _k4_kinds(complete_graph(5)) == {"odd"}
+
+
+def test_jhp_yes_run_uses_neither_blocks_nor_the_edge_scan(monkeypatch):
+    import tilejep.core
+    import tilejep.jhp
+    from tilejep.harness import run_yes_experiment
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wheel questions are answered by the neighbourhood profile")
+
+    monkeypatch.setattr(tilejep.core, "blocks", refuse)
+    monkeypatch.setattr(tilejep.jhp, "_scan_k4", refuse)
+    checker = TilingProblem(2, h_forbidden={(1, 1), (2, 2)}, v_forbidden={(1, 1), (2, 2)})
+    rep = run_yes_experiment(checker, 2, stage="jhp")
+    assert rep.status == "success", rep.to_text()
